@@ -248,6 +248,7 @@ class MultiprocessorMemory:
             tlb.reset_stats()
         self.reset_timing()
         self.stats.reset()
+        self.domain.stats.reset()
 
     def reset_timing(self) -> None:
         """Start a fresh timing epoch: clear next-free bookkeeping of the
@@ -339,17 +340,28 @@ def run_interleaved(memory: MultiprocessorMemory,
 #
 # Replaying an address trace through ``run_interleaved`` costs one TraceStep
 # dataclass, one AccessResult, one MpAccessOutcome, two MESIState
-# constructions and several Counter dict updates per reference — dominated
-# by accesses that are plain L1 hits.  ``replay_traces`` keeps those
-# accesses entirely inside one loop frame: set/tag shifts are precomputed,
-# the L1/L2/TLB dicts are touched directly (same dict-order LRU as
-# ``Cache.access``), and the per-access counters accumulate in locals that
-# flush into the real ``Counter`` objects once per replay.  Anything that
-# is not a private L1 hit (misses, SHARED-line upgrades, inclusion repair)
-# falls through to ``MultiprocessorMemory.access`` untouched, *before* any
-# state is mutated, so the replay is access-for-access identical to the
-# reference path — same hit/miss/evict/upgrade counters, same float
-# operation order, hence bit-identical timing.
+# constructions and several Counter dict updates per reference.
+# ``replay_traces`` keeps the two commonest cases entirely inside one loop
+# frame, in both the single-CPU and the merged multi-CPU loop:
+#
+# * a private L1 hit (a write needs its L2 line in E/M);
+# * an L1 miss refilled by the CPU's own E/M L2 line, with no bus op: the
+#   TLB step, the LRU victim (written back into L2 when dirty), the L2 LRU
+#   refresh or upgrade to M, the coherence-domain hit and the inclusion
+#   repair, which invalidates the line in every other L1 of the node (MESI
+#   leaves no other L2 holding a line this CPU owns in E/M).
+#
+# L1 and L2 share the line size (``HierarchyConfig`` enforces it), so one
+# precomputed tag indexes both; the L1/L2/TLB dicts are touched directly
+# (same dict-order LRU as ``Cache.access``), and the counters accumulate in
+# locals that ``_flush_replay_counters`` folds into the real ``Counter``
+# objects once per replay.  Everything else — bus ops, SHARED lines and
+# inclusion breaches (a written L1 line whose L2 line is gone, a dirty L1
+# victim whose L2 line is not MODIFIED) — falls through to
+# ``MultiprocessorMemory.access`` untouched, *before* any state is mutated,
+# so the replay is access-for-access identical to the reference path: same
+# counters, same LRU order, same float operation order, hence bit-identical
+# timing.
 #
 # With observability enabled the reference path runs instead, so the
 # per-access metric stream is preserved exactly.
@@ -357,6 +369,7 @@ def run_interleaved(memory: MultiprocessorMemory,
 _CHUNK = 8192
 
 _SHARED_INT = int(MESIState.SHARED)
+_EXCLUSIVE_INT = int(MESIState.EXCLUSIVE)
 _MODIFIED_INT = int(MESIState.MODIFIED)
 
 
@@ -407,6 +420,11 @@ def replay_traces(memory: MultiprocessorMemory,
     and is the reference implementation the equivalence tests compare
     against.
 
+    The default fast path resolves private L1 hits and L1 misses
+    refilled from the CPU's own E/M L2 line inside the replay loop, for
+    one trace or many; only bus ops, SHARED lines and inclusion breaches
+    reach :meth:`MultiprocessorMemory.access`.
+
     ``backend="numpy"`` routes single-trace replays through the
     vectorized engine in :mod:`repro.memory.vec`, falling back to the
     scalar fast path whenever the engine's preconditions do not hold
@@ -440,6 +458,11 @@ def replay_traces(memory: MultiprocessorMemory,
                                compute_ns, stall_models)
 
 
+def _other_l1s(memory: MultiprocessorMemory, cpu: int):
+    """``(sets, cache)`` of the L1 of every *other* CPU of the node."""
+    return [(l1._sets, l1) for i, l1 in enumerate(memory.l1s) if i != cpu]
+
+
 def _replay_fast_single(memory: MultiprocessorMemory,
                         trace: Iterable[Tuple[int, AccessType]],
                         compute_ns: float,
@@ -451,23 +474,21 @@ def _replay_fast_single(memory: MultiprocessorMemory,
     tlb_miss_ns = config.tlb_miss_ns
     write_t = AccessType.WRITE
     shared = _SHARED_INT
-    exclusive = int(MESIState.EXCLUSIVE)
+    exclusive = _EXCLUSIVE_INT
     modified = _MODIFIED_INT
 
     l1 = memory.l1s[0]
-    l2 = memory.l2s[0]
     tlb = memory.tlbs[0]
     l1_sets = l1._sets
-    l2_sets = l2._sets
-    l1_shift = l1._set_shift
+    l2_sets = memory.l2s[0]._sets
+    line_shift = l1._set_shift
     l1_mask = l1._set_mask
     l1_ways = l1._ways
-    l2_shift = l2._set_shift
-    l2_mask = l2._set_mask
+    l2_mask = memory.l2s[0]._set_mask
     tlb_entries = tlb._entries
     page_shift = tlb._page_shift
     tlb_capacity = tlb.config.entries
-    other_l1s = memory.l1s[1:]
+    other_l1s = _other_l1s(memory, 0)
     slow_access = memory.access
 
     local = 0.0
@@ -476,9 +497,8 @@ def _replay_fast_single(memory: MultiprocessorMemory,
     stall_total = 0.0
     queueing_total = 0.0
     tlb_hits = tlb_misses = tlb_evictions = 0
-    read_hits = write_hits = upgrades = l2_write_hits = 0
-    read_misses = write_misses = l1_writebacks = clean_evicts = 0
-    l2_read_hits = l2_upgrades = domain_hits = mp_l2_hits = 0
+    read_hits = write_hits = upgrades = 0
+    read_misses = write_misses = writebacks = clean_evicts = 0
 
     islice = itertools.islice
     it = iter(trace)
@@ -489,145 +509,97 @@ def _replay_fast_single(memory: MultiprocessorMemory,
         for addr, access in chunk:
             issue = local + compute_ns
             is_write = access is write_t
-            tag = addr >> l1_shift
+            tag = addr >> line_shift
             line_set = l1_sets[tag & l1_mask]
             state = line_set.get(tag)
-            l2_tag = addr >> l2_shift
-            l2_set = l2_sets[l2_tag & l2_mask]
-            l2_state = l2_set.get(l2_tag)
+            l2_set = l2_sets[tag & l2_mask]
+            l2_state = l2_set.get(tag)
 
-            if state is not None and not (is_write and
-                                          (l2_state is None
-                                           or l2_state == shared)):
-                # --- private L1 hit -------------------------------------
-                page = addr >> page_shift
-                if page in tlb_entries:
-                    del tlb_entries[page]
-                    tlb_entries[page] = None
-                    tlb_hits += 1
-                    translation = 0.0
-                else:
-                    if len(tlb_entries) >= tlb_capacity:
-                        del tlb_entries[next(iter(tlb_entries))]
-                        tlb_evictions += 1
-                    tlb_entries[page] = None
-                    tlb_misses += 1
-                    translation = tlb_miss_ns
-                del line_set[tag]
-                if is_write:
-                    if state == shared:
-                        upgrades += 1
-                    line_set[tag] = modified
-                    write_hits += 1
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = modified
-                    l2_write_hits += 1
-                else:
-                    line_set[tag] = state
-                    read_hits += 1
-                stall_ns = stall(translation + l1_hit_ns, compute_ns)
+            if state is not None:
+                fast = (not is_write or l2_state == exclusive
+                        or l2_state == modified)
+            else:
+                fast = l2_state == exclusive or l2_state == modified
+                victim_tag = -1
+                if fast and len(line_set) >= l1_ways:
+                    victim_tag = next(iter(line_set))
+                    if line_set[victim_tag] == modified:
+                        # A dirty victim must land on its (M) L2 line.
+                        fast = (l2_sets[victim_tag & l2_mask].get(victim_tag)
+                                == modified)
+
+            if not fast:
+                # Bus op, SHARED line or inclusion breach: reference path
+                # (nothing mutated yet, so it sees pristine state).
+                outcome = slow_access(0, issue, addr, access)
+                stall_ns = stall(outcome.latency_ns, compute_ns)
+                queueing_total += outcome.queueing_ns
                 local = issue + stall_ns
                 steps += 1
                 compute_total += compute_ns
                 stall_total += stall_ns
                 continue
 
-            fast_miss = (state is None
-                         and (l2_state == exclusive or l2_state == modified))
-            victim_tag = -1
-            victim_state = 0
-            victim_l2_set = None
-            if fast_miss and len(line_set) >= l1_ways:
-                victim_tag = next(iter(line_set))
-                victim_state = line_set[victim_tag]
-                if victim_state == modified:
-                    v_l2_tag = (victim_tag << l1_shift) >> l2_shift
-                    victim_l2_set = l2_sets[v_l2_tag & l2_mask]
-                    if v_l2_tag not in victim_l2_set:
-                        # Inclusion breach on the victim: reference path.
-                        fast_miss = False
+            page = addr >> page_shift
+            if page in tlb_entries:
+                del tlb_entries[page]
+                tlb_entries[page] = None
+                tlb_hits += 1
+                translation = 0.0
+            else:
+                if len(tlb_entries) >= tlb_capacity:
+                    del tlb_entries[next(iter(tlb_entries))]
+                    tlb_evictions += 1
+                tlb_entries[page] = None
+                tlb_misses += 1
+                translation = tlb_miss_ns
 
-            if fast_miss:
-                # --- L1 miss refilled by a private (E/M) L2 hit ---------
-                # Mirrors MultiprocessorMemory.access exactly: TLB, L1
-                # victim to L2, the coherence-domain plain hit (no bus
-                # op), and the inclusion repair against the other CPUs.
-                page = addr >> page_shift
-                if page in tlb_entries:
-                    del tlb_entries[page]
-                    tlb_entries[page] = None
-                    tlb_hits += 1
-                    translation = 0.0
+            if state is not None:
+                # --- private L1 hit -------------------------------------
+                del line_set[tag]
+                if is_write:
+                    if state == shared:
+                        upgrades += 1
+                    line_set[tag] = modified
+                    write_hits += 1
+                    del l2_set[tag]
+                    l2_set[tag] = modified
                 else:
-                    if len(tlb_entries) >= tlb_capacity:
-                        del tlb_entries[next(iter(tlb_entries))]
-                        tlb_evictions += 1
-                    tlb_entries[page] = None
-                    tlb_misses += 1
-                    translation = tlb_miss_ns
+                    line_set[tag] = state
+                    read_hits += 1
+                stall_ns = stall(translation + l1_hit_ns, compute_ns)
+            else:
+                # --- L1 miss refilled by a private (E/M) L2 hit ---------
                 if victim_tag >= 0:
-                    del line_set[victim_tag]
-                    if victim_state == modified:
-                        l1_writebacks += 1
-                        v_l2_tag = (victim_tag << l1_shift) >> l2_shift
-                        v_state = victim_l2_set[v_l2_tag]
-                        del victim_l2_set[v_l2_tag]
-                        victim_l2_set[v_l2_tag] = modified
-                        l2_write_hits += 1
-                        if v_state == shared:
-                            l2_upgrades += 1
-                        if victim_l2_set is l2_set:
-                            l2_state = l2_set.get(l2_tag)
+                    if line_set.pop(victim_tag) == modified:
+                        writebacks += 1
+                        v_set = l2_sets[victim_tag & l2_mask]
+                        del v_set[victim_tag]
+                        v_set[victim_tag] = modified
                     else:
                         clean_evicts += 1
+                del l2_set[tag]
                 if is_write:
                     line_set[tag] = modified
                     write_misses += 1
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = modified
-                    l2_write_hits += 1
+                    l2_set[tag] = modified
                 else:
                     line_set[tag] = exclusive
                     read_misses += 1
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = l2_state
-                    l2_read_hits += 1
-                domain_hits += 1
-                for other in other_l1s:
-                    other.snoop_invalidate(addr)
-                mp_l2_hits += 1
+                    l2_set[tag] = l2_state
+                for sets, other in other_l1s:
+                    if tag in sets[tag & l1_mask]:
+                        other.snoop_invalidate(addr)
                 stall_ns = stall((translation + l1_hit_ns) + l2_hit_ns,
                                  compute_ns)
-            else:
-                # Bus-op miss, SHARED upgrade, or repair case: reference
-                # path (nothing mutated yet, so it sees pristine state).
-                outcome = slow_access(0, issue, addr, access)
-                stall_ns = stall(outcome.latency_ns, compute_ns)
-                queueing_total += outcome.queueing_ns
             local = issue + stall_ns
             steps += 1
             compute_total += compute_ns
             stall_total += stall_ns
 
-    _flush_replay_counters(memory, 0, tlb_hits, tlb_misses, tlb_evictions,
-                           read_hits, write_hits, upgrades, l2_write_hits)
-    l1_stats = l1.stats
-    if read_misses:
-        l1_stats.incr("read_miss", read_misses)
-    if write_misses:
-        l1_stats.incr("write_miss", write_misses)
-    if l1_writebacks:
-        l1_stats.incr("writeback", l1_writebacks)
-    if clean_evicts:
-        l1_stats.incr("clean_evict", clean_evicts)
-    if l2_read_hits:
-        l2.stats.incr("read_hit", l2_read_hits)
-    if l2_upgrades:
-        l2.stats.incr("upgrade", l2_upgrades)
-    if domain_hits:
-        memory.domain.stats.incr("hit", domain_hits)
-    if mp_l2_hits:
-        memory.stats.incr("l2_hits", mp_l2_hits)
+    _flush_replay_counters(memory, 0, (
+        tlb_hits, tlb_misses, tlb_evictions, read_hits, write_hits, upgrades,
+        read_misses, write_misses, writebacks, clean_evicts))
     return CpuRunResult(finish_ns=local, steps=steps,
                         compute_ns=compute_total, stall_ns=stall_total,
                         queueing_ns=queueing_total)
@@ -638,33 +610,36 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
                         compute_ns: float,
                         stall_models: Sequence[StallModel],
                         ) -> List[CpuRunResult]:
-    """Multi-CPU replay: same inlined access, merge heap kept."""
+    """Multi-CPU replay: the same two inlined cases, merge heap kept."""
     config = memory.config
     l1_hit_ns = config.l1_hit_ns
+    l2_hit_ns = config.l2_hit_ns
     tlb_miss_ns = config.tlb_miss_ns
     write_t = AccessType.WRITE
     shared = _SHARED_INT
+    exclusive = _EXCLUSIVE_INT
     modified = _MODIFIED_INT
 
     l1_sets_by_cpu = [l1._sets for l1 in memory.l1s]
     l2_sets_by_cpu = [l2._sets for l2 in memory.l2s]
     tlb_by_cpu = [tlb._entries for tlb in memory.tlbs]
-    l1_shift = memory.l1s[0]._set_shift
+    line_shift = memory.l1s[0]._set_shift
     l1_mask = memory.l1s[0]._set_mask
-    l2_shift = memory.l2s[0]._set_shift
+    l1_ways = memory.l1s[0]._ways
     l2_mask = memory.l2s[0]._set_mask
     page_shift = memory.tlbs[0]._page_shift
     tlb_capacity = config.tlb.entries
     slow_access = memory.access
 
     n = len(traces)
+    other_l1s_by_cpu = [_other_l1s(memory, cpu) for cpu in range(n)]
     iterators = [iter(t) for t in traces]
     local = [0.0] * n
     steps = [0] * n
     compute_total = [0.0] * n
     stall_total = [0.0] * n
     queueing_total = [0.0] * n
-    counts = [[0] * 7 for _ in range(n)]  # see _flush_replay_counters
+    counts = [[0] * 10 for _ in range(n)]  # see _flush_replay_counters
 
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -676,20 +651,27 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
 
     while heap:
         issue, cpu, addr, access = heappop(heap)
-        tag = addr >> l1_shift
+        is_write = access is write_t
+        tag = addr >> line_shift
         line_set = l1_sets_by_cpu[cpu][tag & l1_mask]
         state = line_set.get(tag)
-        l2_set = l2_state = None
-        if state is not None and access is write_t:
-            l2_tag = addr >> l2_shift
-            l2_set = l2_sets_by_cpu[cpu][l2_tag & l2_mask]
-            l2_state = l2_set.get(l2_tag)
-        if state is None or (access is write_t and
-                             (l2_state is None or l2_state == shared)):
-            outcome = slow_access(cpu, issue, addr, access)
-            stall_ns = stall_models[cpu](outcome.latency_ns, compute_ns)
-            queueing_total[cpu] += outcome.queueing_ns
+        if state is None or is_write:
+            l2_sets = l2_sets_by_cpu[cpu]
+            l2_set = l2_sets[tag & l2_mask]
+            l2_state = l2_set.get(tag)
+            fast = l2_state == exclusive or l2_state == modified
+            if fast and state is None:
+                victim_tag = -1
+                if len(line_set) >= l1_ways:
+                    victim_tag = next(iter(line_set))
+                    if line_set[victim_tag] == modified:
+                        # A dirty victim must land on its (M) L2 line.
+                        fast = (l2_sets[victim_tag & l2_mask].get(victim_tag)
+                                == modified)
         else:
+            fast = True
+
+        if fast:
             c = counts[cpu]
             tlb_entries = tlb_by_cpu[cpu]
             page = addr >> page_shift
@@ -705,19 +687,51 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
                 tlb_entries[page] = None
                 c[1] += 1
                 translation = tlb_miss_ns
-            del line_set[tag]
-            if access is write_t:
-                if state == shared:
-                    c[5] += 1
-                line_set[tag] = modified
-                c[4] += 1
-                del l2_set[l2_tag]
-                l2_set[l2_tag] = modified
-                c[6] += 1
+
+            if state is not None:
+                # --- private L1 hit -------------------------------------
+                del line_set[tag]
+                if is_write:
+                    if state == shared:
+                        c[5] += 1
+                    line_set[tag] = modified
+                    c[4] += 1
+                    del l2_set[tag]
+                    l2_set[tag] = modified
+                else:
+                    line_set[tag] = state
+                    c[3] += 1
+                stall_ns = stall_models[cpu](translation + l1_hit_ns,
+                                             compute_ns)
             else:
-                line_set[tag] = state
-                c[3] += 1
-            stall_ns = stall_models[cpu](translation + l1_hit_ns, compute_ns)
+                # --- L1 miss refilled by a private (E/M) L2 hit ---------
+                if victim_tag >= 0:
+                    if line_set.pop(victim_tag) == modified:
+                        c[8] += 1
+                        v_set = l2_sets[victim_tag & l2_mask]
+                        del v_set[victim_tag]
+                        v_set[victim_tag] = modified
+                    else:
+                        c[9] += 1
+                del l2_set[tag]
+                if is_write:
+                    line_set[tag] = modified
+                    c[7] += 1
+                    l2_set[tag] = modified
+                else:
+                    line_set[tag] = exclusive
+                    c[6] += 1
+                    l2_set[tag] = l2_state
+                for sets, other in other_l1s_by_cpu[cpu]:
+                    if tag in sets[tag & l1_mask]:
+                        other.snoop_invalidate(addr)
+                stall_ns = stall_models[cpu](
+                    (translation + l1_hit_ns) + l2_hit_ns, compute_ns)
+        else:
+            # Bus op, SHARED line or inclusion breach: reference path.
+            outcome = slow_access(cpu, issue, addr, access)
+            stall_ns = stall_models[cpu](outcome.latency_ns, compute_ns)
+            queueing_total[cpu] += outcome.queueing_ns
         now = issue + stall_ns
         local[cpu] = now
         steps[cpu] += 1
@@ -728,9 +742,7 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
             heappush(heap, (now + compute_ns, cpu, ref[0], ref[1]))
 
     for cpu in range(n):
-        c = counts[cpu]
-        _flush_replay_counters(memory, cpu, c[0], c[1], c[2], c[3], c[4],
-                               c[5], c[6])
+        _flush_replay_counters(memory, cpu, counts[cpu])
     return [CpuRunResult(finish_ns=local[cpu], steps=steps[cpu],
                          compute_ns=compute_total[cpu],
                          stall_ns=stall_total[cpu],
@@ -739,27 +751,34 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
 
 
 def _flush_replay_counters(memory: MultiprocessorMemory, cpu: int,
-                           tlb_hits: int, tlb_misses: int,
-                           tlb_evictions: int, read_hits: int,
-                           write_hits: int, upgrades: int,
-                           l2_write_hits: int) -> None:
-    """Fold one CPU's locally-accumulated counters into the real stats."""
-    tlb_stats = memory.tlbs[cpu].stats
-    if tlb_hits:
-        tlb_stats.incr("hits", tlb_hits)
-    if tlb_misses:
-        tlb_stats.incr("misses", tlb_misses)
-        memory.stats.incr("tlb_misses", tlb_misses)
-    if tlb_evictions:
-        tlb_stats.incr("evictions", tlb_evictions)
-    l1_stats = memory.l1s[cpu].stats
-    if read_hits:
-        l1_stats.incr("read_hit", read_hits)
-    if write_hits:
-        l1_stats.incr("write_hit", write_hits)
-    if upgrades:
-        l1_stats.incr("upgrade", upgrades)
-    if l2_write_hits:
-        memory.l2s[cpu].stats.incr("write_hit", l2_write_hits)
-    if read_hits or write_hits:
-        memory.stats.incr("l1_hits", read_hits + write_hits)
+                           counts: Sequence[int]) -> None:
+    """Fold one CPU's locally accumulated counts into the real stats.
+
+    ``counts`` is ``(TLB hits, TLB misses, TLB evictions, L1 read hits,
+    L1 write hits, L1 upgrades, L1 read misses, L1 write misses, L1
+    writebacks, L1 clean evictions)``.  The two fast cases imply the
+    rest: every L1 write and every dirty victim is an L2 write hit, and
+    every refill (an L1 miss) is an L2 hit — a read hit for a read — plus
+    one coherence-domain ``hit`` and one node ``l2_hits``.
+    """
+    (tlb_hits, tlb_misses, tlb_evictions, read_hits, write_hits, upgrades,
+     read_misses, write_misses, writebacks, clean_evicts) = counts
+    refills = read_misses + write_misses
+    _add_counts(memory.tlbs[cpu].stats, hits=tlb_hits, misses=tlb_misses,
+                evictions=tlb_evictions)
+    _add_counts(memory.l1s[cpu].stats, read_hit=read_hits,
+                write_hit=write_hits, upgrade=upgrades,
+                read_miss=read_misses, write_miss=write_misses,
+                writeback=writebacks, clean_evict=clean_evicts)
+    _add_counts(memory.l2s[cpu].stats,
+                write_hit=write_hits + write_misses + writebacks,
+                read_hit=read_misses)
+    _add_counts(memory.domain.stats, hit=refills)
+    _add_counts(memory.stats, tlb_misses=tlb_misses,
+                l1_hits=read_hits + write_hits, l2_hits=refills)
+
+
+def _add_counts(counter: Counter, **amounts: int) -> None:
+    for key, amount in amounts.items():
+        if amount:
+            counter.incr(key, amount)

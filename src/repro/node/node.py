@@ -68,9 +68,11 @@ class NodeModel:
         timed sections of one program.
 
         The replay normally takes the batched fast path of
-        :func:`repro.memory.mp.replay_traces` (identical semantics,
-        counters and timing); ``use_fast_path=False`` forces the
-        reference per-access path, and ``backend="numpy"`` routes
+        :func:`repro.memory.mp.replay_traces`, which resolves L1 hits and
+        L1 misses refilled from the CPU's own E/M L2 line in-loop on one
+        CPU or many (identical semantics, counters and timing);
+        ``use_fast_path=False`` forces the reference per-access path, and
+        ``backend="numpy"`` routes
         single-CPU replays through the vectorized engine (same
         equivalence contract; traces may be ``repro.memory.vec``
         structured arrays from the ``trace_gen`` array emitters).

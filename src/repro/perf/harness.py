@@ -17,6 +17,8 @@ has to beat:
 * ``replay_batch_vec`` — many independent sweep-point replays stacked
   into single padded lockstep passes via ``vec.replay_batch``: the
   batched multi-point mode behind ``run_sweep(replay_backend="numpy")``.
+* ``fig8_smp`` — naive MatMult (N=24, caches scaled 1/16) on one and on
+  both PowerMANNA CPUs: the merged multi-CPU replay behind Figure 8.
 * ``fig9_pingpong`` — one-way latency ping-pongs over the full DES stack
   (driver -> NI -> link -> crossbar -> drain): the event-kernel hot loop.
 * ``fig11_unidir`` — back-to-back streaming bandwidth (DES under load).
@@ -145,6 +147,21 @@ def _kernel_replay_batch_vec() -> Tuple[int, str, float]:
     return work, "accesses", sum(r.finish_ns for r in results)
 
 
+def _kernel_fig8_smp() -> Tuple[int, str, float]:
+    from repro.bench.matmult import run_matmult
+    from repro.core.specs import POWERMANNA
+
+    cpus = POWERMANNA.num_cpus
+    nodes = [POWERMANNA.node(scale=16) for _ in range(2)]
+    single = run_matmult(nodes[0], 24, version="naive",
+                         machine_key="powermanna")
+    dual = run_matmult(nodes[1], 24, version="naive", cpus=cpus,
+                       machine_key="powermanna")
+    accesses = sum(l1.access_count() for node in nodes
+                   for l1 in node.memory.l1s)
+    return accesses, "accesses", cpus * single.elapsed_ns / dual.elapsed_ns
+
+
 def _kernel_fig9_pingpong() -> Tuple[int, str, float]:
     from repro.msg.api import build_cluster_world
 
@@ -185,6 +202,7 @@ KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig7_matmult": _kernel_fig7_matmult,
     "fig7_matmult_vec": _kernel_fig7_matmult_vec,
     "replay_batch_vec": _kernel_replay_batch_vec,
+    "fig8_smp": _kernel_fig8_smp,
     "fig9_pingpong": _kernel_fig9_pingpong,
     "fig11_unidir": _kernel_fig11_unidir,
     "topo_hypercube_1k": _kernel_topo_hypercube_1k,

@@ -114,6 +114,27 @@ class TestFabricContention:
         assert node.access(0, 0.0, 0x1000).level == ServiceLevel.MEMORY
         assert node.stats["memory_accesses"] == 1  # only the fresh miss
 
+    def test_reset_clears_coherence_counters(self):
+        node = make_node()
+        node.access(0, 0.0, 0x1000)
+        node.reset()
+        node.access(0, 0.0, 0x1000)
+        assert node.domain.stats.as_dict() == {"miss": 1}
+
+    def test_repeated_matmult_restarts_every_counter(self):
+        from repro.bench.matmult import run_matmult
+        from repro.core.specs import POWERMANNA
+
+        node = POWERMANNA.node(scale=64)
+        snapshots = []
+        for _ in range(2):
+            run_matmult(node, 12, "naive", cpus=2)
+            memory = node.memory
+            snapshots.append((memory.stats.as_dict(),
+                              memory.domain.stats.as_dict()))
+        assert snapshots[0][1]["hit"] > 0
+        assert snapshots[1] == snapshots[0]
+
 
 class TestRunInterleaved:
     def test_single_cpu_accumulates_time(self):
