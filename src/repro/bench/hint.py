@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.specs import MachineSpec
 from repro.cpu.kernels import hint_scan_step, hint_split_step
 from repro.memory.address import AddressMap
-from repro.memory.trace_gen import hint_sweep_trace
+from repro.memory.trace_gen import hint_sweep_array
 from repro.node.node import NodeModel
 
 RECORD_BYTES = 32  # x0, x1, f(x0), f(x1) — 4 words per interval record
@@ -208,7 +208,7 @@ def run_hint(node: NodeModel, data_type: str = "double",
     # Measure the per-record scan cost at each checkpoint size.
     per_record_at: List[Tuple[int, float]] = []
     for mark in marks:
-        trace = hint_sweep_trace(base, mark, RECORD_BYTES, seed=mark)
+        trace = hint_sweep_array(base, mark, RECORD_BYTES, seed=mark)
         elapsed = node.run_traces([trace], scan_compute_ns).elapsed_ns
         refs = mark + max(1, int(mark * 0.25))  # scan reads + split writes
         per_record_at.append((mark, elapsed / refs))

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.memory import vec
 from repro.memory.cache import AccessType, Cache, MESIState
 from repro.memory.dram import InterleavedDram
 from repro.memory.hierarchy import HierarchyConfig, ServiceLevel
@@ -335,14 +337,23 @@ def run_interleaved(memory: MultiprocessorMemory,
 
 
 # ---------------------------------------------------------------------------
-# Batch replay fast path
+# Batch replay fast paths
 # ---------------------------------------------------------------------------
 #
 # Replaying an address trace through ``run_interleaved`` costs one TraceStep
 # dataclass, one AccessResult, one MpAccessOutcome, two MESIState
 # constructions and several Counter dict updates per reference.
-# ``replay_traces`` keeps the two commonest cases entirely inside one loop
-# frame, in both the single-CPU and the merged multi-CPU loop:
+# ``replay_traces`` avoids that with two engines that keep the reference's
+# semantics exactly:
+#
+# * one trace: the vectorized engine in ``repro.memory.vec``, which
+#   replays the whole trace as array passes;
+# * several traces, or one whose preconditions ``vec`` rejects (SHARED
+#   lines resident, a warm sibling CPU, an address outside int64): the
+#   merged scalar loop ``_replay_fast_merged``.
+#
+# The scalar loop keeps the two commonest cases entirely inside one loop
+# frame:
 #
 # * a private L1 hit (a write needs its L2 line in E/M);
 # * an L1 miss refilled by the CPU's own E/M L2 line, with no bus op: the
@@ -361,41 +372,49 @@ def run_interleaved(memory: MultiprocessorMemory,
 # ``MultiprocessorMemory.access`` untouched, *before* any state is mutated,
 # so the replay is access-for-access identical to the reference path: same
 # counters, same LRU order, same float operation order, hence bit-identical
-# timing.
+# timing.  Array traces reach the loop through ``iter_refs``, ``_CHUNK``
+# references at a time.
 #
 # With observability enabled the reference path runs instead, so the
 # per-access metric stream is preserved exactly.
 
-_CHUNK = 8192
+_CHUNK = 1024
 
 _SHARED_INT = int(MESIState.SHARED)
 _EXCLUSIVE_INT = int(MESIState.EXCLUSIVE)
 _MODIFIED_INT = int(MESIState.MODIFIED)
 
 
-def _trace_pairs(trace):
-    """Adapt a trace to ``(int, AccessType)`` pairs.
+def iter_refs(trace) -> Iterator[Tuple[int, AccessType]]:
+    """Adapt a trace to ``(int, AccessType)`` pairs for the scalar loops.
 
     Structured ``(addr, is_write)`` arrays (see ``repro.memory.trace_gen``
-    array emitters) are accepted by every backend; plain iterables pass
-    through untouched.
+    array emitters) convert ``_CHUNK`` references at a time, so a long
+    trace never exists as one list of Python objects; INSTR collapses to
+    READ, as everywhere else.  Plain iterables pass through.
     """
-    if hasattr(trace, "dtype"):
-        read = AccessType.READ
-        write = AccessType.WRITE
-        return ((addr, write if is_write else read)
-                for addr, is_write in zip(trace["addr"].tolist(),
-                                          trace["is_write"].tolist()))
-    return trace
+    if not isinstance(trace, np.ndarray):
+        yield from trace
+        return
+    read = AccessType.READ
+    write = AccessType.WRITE
+    for start in range(0, len(trace), _CHUNK):
+        part = trace[start:start + _CHUNK]
+        yield from zip(part["addr"].tolist(),
+                       [write if w else read
+                        for w in part["is_write"].tolist()])
 
 
 def _try_vec(memory, trace, compute_ns, stall):
-    """Attempt the numpy backend; on any unmet precondition return the
-    (already materialised) trace so the scalar path can still consume it."""
-    try:
-        from repro.memory import vec
-    except ImportError:
-        return None, trace
+    """Replay one trace through the vectorized engine.
+
+    Returns ``(result, trace)``; ``result`` is ``None`` when the engine's
+    preconditions do not hold, and ``trace`` then still holds every
+    reference for the scalar loop.  A one-shot iterator is materialised
+    first, since a coercion that fails partway would have consumed it.
+    """
+    if iter(trace) is trace:
+        trace = list(trace)
     try:
         arr = vec.coerce_trace(trace)
     except (OverflowError, ValueError):
@@ -403,15 +422,11 @@ def _try_vec(memory, trace, compute_ns, stall):
     return vec.replay_traces_vec(memory, arr, compute_ns, stall), arr
 
 
-REPLAY_BACKENDS = ("fast", "numpy")
-
-
 def replay_traces(memory: MultiprocessorMemory,
                   traces: Sequence[Iterable[Tuple[int, AccessType]]],
                   compute_ns: float,
                   stall_models: Sequence[StallModel],
-                  use_fast_path: bool = True,
-                  backend: str = "fast") -> List[CpuRunResult]:
+                  use_fast_path: bool = True) -> List[CpuRunResult]:
     """Replay raw ``(addr, AccessType)`` streams, one per CPU.
 
     Semantically identical to wrapping each stream in
@@ -420,22 +435,17 @@ def replay_traces(memory: MultiprocessorMemory,
     and is the reference implementation the equivalence tests compare
     against.
 
-    The default fast path resolves private L1 hits and L1 misses
-    refilled from the CPU's own E/M L2 line inside the replay loop, for
-    one trace or many; only bus ops, SHARED lines and inclusion breaches
-    reach :meth:`MultiprocessorMemory.access`.
-
-    ``backend="numpy"`` routes single-trace replays through the
-    vectorized engine in :mod:`repro.memory.vec`, falling back to the
-    scalar fast path whenever the engine's preconditions do not hold
-    (multiple traces, SHARED lines resident, warm sibling CPUs, numpy
-    unavailable).  Every backend accepts structured ``(addr, is_write)``
-    array traces as well as iterables, and ``OBS.enabled`` still forces
-    the reference path so per-access metric streams are preserved.
+    The default fast path replays a single trace through the vectorized
+    engine in :mod:`repro.memory.vec`.  Several traces, or one the engine
+    cannot take (SHARED lines resident, a warm sibling CPU, an address
+    outside int64), go through the merged scalar loop, which resolves
+    private L1 hits and L1 misses refilled from the CPU's own E/M L2 line
+    itself; only bus ops, SHARED lines and inclusion breaches reach
+    :meth:`MultiprocessorMemory.access`.  Every path accepts structured
+    ``(addr, is_write)`` array traces as well as iterables, and
+    ``OBS.enabled`` forces the reference path so per-access metric
+    streams are preserved.
     """
-    if backend not in REPLAY_BACKENDS:
-        raise ValueError(f"unknown replay backend {backend!r}; "
-                         f"have {list(REPLAY_BACKENDS)}")
     if len(traces) != len(stall_models):
         raise ValueError("need one stall model per trace")
     if len(traces) > memory.num_cpus:
@@ -443,18 +453,15 @@ def replay_traces(memory: MultiprocessorMemory,
             f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
     if not use_fast_path or OBS.enabled:
         steps = [(TraceStep(compute_ns, addr, access)
-                  for addr, access in _trace_pairs(t)) for t in traces]
+                  for addr, access in iter_refs(t)) for t in traces]
         return run_interleaved(memory, steps, stall_models)
     if len(traces) == 1:
-        trace = traces[0]
-        if backend == "numpy":
-            result, trace = _try_vec(memory, trace, compute_ns,
-                                     stall_models[0])
-            if result is not None:
-                return [result]
-        return [_replay_fast_single(memory, _trace_pairs(trace), compute_ns,
-                                    stall_models[0])]
-    return _replay_fast_merged(memory, [_trace_pairs(t) for t in traces],
+        result, trace = _try_vec(memory, traces[0], compute_ns,
+                                 stall_models[0])
+        if result is not None:
+            return [result]
+        traces = [trace]
+    return _replay_fast_merged(memory, [iter_refs(t) for t in traces],
                                compute_ns, stall_models)
 
 
@@ -463,154 +470,13 @@ def _other_l1s(memory: MultiprocessorMemory, cpu: int):
     return [(l1._sets, l1) for i, l1 in enumerate(memory.l1s) if i != cpu]
 
 
-def _replay_fast_single(memory: MultiprocessorMemory,
-                        trace: Iterable[Tuple[int, AccessType]],
-                        compute_ns: float,
-                        stall: StallModel) -> CpuRunResult:
-    """Single-CPU replay: the merge heap degenerates to a tight loop."""
-    config = memory.config
-    l1_hit_ns = config.l1_hit_ns
-    l2_hit_ns = config.l2_hit_ns
-    tlb_miss_ns = config.tlb_miss_ns
-    write_t = AccessType.WRITE
-    shared = _SHARED_INT
-    exclusive = _EXCLUSIVE_INT
-    modified = _MODIFIED_INT
-
-    l1 = memory.l1s[0]
-    tlb = memory.tlbs[0]
-    l1_sets = l1._sets
-    l2_sets = memory.l2s[0]._sets
-    line_shift = l1._set_shift
-    l1_mask = l1._set_mask
-    l1_ways = l1._ways
-    l2_mask = memory.l2s[0]._set_mask
-    tlb_entries = tlb._entries
-    page_shift = tlb._page_shift
-    tlb_capacity = tlb.config.entries
-    other_l1s = _other_l1s(memory, 0)
-    slow_access = memory.access
-
-    local = 0.0
-    steps = 0
-    compute_total = 0.0
-    stall_total = 0.0
-    queueing_total = 0.0
-    tlb_hits = tlb_misses = tlb_evictions = 0
-    read_hits = write_hits = upgrades = 0
-    read_misses = write_misses = writebacks = clean_evicts = 0
-
-    islice = itertools.islice
-    it = iter(trace)
-    while True:
-        chunk = list(islice(it, _CHUNK))
-        if not chunk:
-            break
-        for addr, access in chunk:
-            issue = local + compute_ns
-            is_write = access is write_t
-            tag = addr >> line_shift
-            line_set = l1_sets[tag & l1_mask]
-            state = line_set.get(tag)
-            l2_set = l2_sets[tag & l2_mask]
-            l2_state = l2_set.get(tag)
-
-            if state is not None:
-                fast = (not is_write or l2_state == exclusive
-                        or l2_state == modified)
-            else:
-                fast = l2_state == exclusive or l2_state == modified
-                victim_tag = -1
-                if fast and len(line_set) >= l1_ways:
-                    victim_tag = next(iter(line_set))
-                    if line_set[victim_tag] == modified:
-                        # A dirty victim must land on its (M) L2 line.
-                        fast = (l2_sets[victim_tag & l2_mask].get(victim_tag)
-                                == modified)
-
-            if not fast:
-                # Bus op, SHARED line or inclusion breach: reference path
-                # (nothing mutated yet, so it sees pristine state).
-                outcome = slow_access(0, issue, addr, access)
-                stall_ns = stall(outcome.latency_ns, compute_ns)
-                queueing_total += outcome.queueing_ns
-                local = issue + stall_ns
-                steps += 1
-                compute_total += compute_ns
-                stall_total += stall_ns
-                continue
-
-            page = addr >> page_shift
-            if page in tlb_entries:
-                del tlb_entries[page]
-                tlb_entries[page] = None
-                tlb_hits += 1
-                translation = 0.0
-            else:
-                if len(tlb_entries) >= tlb_capacity:
-                    del tlb_entries[next(iter(tlb_entries))]
-                    tlb_evictions += 1
-                tlb_entries[page] = None
-                tlb_misses += 1
-                translation = tlb_miss_ns
-
-            if state is not None:
-                # --- private L1 hit -------------------------------------
-                del line_set[tag]
-                if is_write:
-                    if state == shared:
-                        upgrades += 1
-                    line_set[tag] = modified
-                    write_hits += 1
-                    del l2_set[tag]
-                    l2_set[tag] = modified
-                else:
-                    line_set[tag] = state
-                    read_hits += 1
-                stall_ns = stall(translation + l1_hit_ns, compute_ns)
-            else:
-                # --- L1 miss refilled by a private (E/M) L2 hit ---------
-                if victim_tag >= 0:
-                    if line_set.pop(victim_tag) == modified:
-                        writebacks += 1
-                        v_set = l2_sets[victim_tag & l2_mask]
-                        del v_set[victim_tag]
-                        v_set[victim_tag] = modified
-                    else:
-                        clean_evicts += 1
-                del l2_set[tag]
-                if is_write:
-                    line_set[tag] = modified
-                    write_misses += 1
-                    l2_set[tag] = modified
-                else:
-                    line_set[tag] = exclusive
-                    read_misses += 1
-                    l2_set[tag] = l2_state
-                for sets, other in other_l1s:
-                    if tag in sets[tag & l1_mask]:
-                        other.snoop_invalidate(addr)
-                stall_ns = stall((translation + l1_hit_ns) + l2_hit_ns,
-                                 compute_ns)
-            local = issue + stall_ns
-            steps += 1
-            compute_total += compute_ns
-            stall_total += stall_ns
-
-    _flush_replay_counters(memory, 0, (
-        tlb_hits, tlb_misses, tlb_evictions, read_hits, write_hits, upgrades,
-        read_misses, write_misses, writebacks, clean_evicts))
-    return CpuRunResult(finish_ns=local, steps=steps,
-                        compute_ns=compute_total, stall_ns=stall_total,
-                        queueing_ns=queueing_total)
-
-
 def _replay_fast_merged(memory: MultiprocessorMemory,
                         traces: Sequence[Iterable[Tuple[int, AccessType]]],
                         compute_ns: float,
                         stall_models: Sequence[StallModel],
                         ) -> List[CpuRunResult]:
-    """Multi-CPU replay: the same two inlined cases, merge heap kept."""
+    """The scalar replay loop: the two inlined cases over a merge heap of
+    one or more traces."""
     config = memory.config
     l1_hit_ns = config.l1_hit_ns
     l2_hit_ns = config.l2_hit_ns

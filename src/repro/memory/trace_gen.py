@@ -19,10 +19,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
+import numpy as np
 
 from repro.memory.cache import AccessType
 
@@ -153,8 +150,6 @@ def hint_sweep_trace(base: int, records: int, record_bytes: int,
 
 
 def _ref_array(size: int):
-    if np is None:  # pragma: no cover - numpy is a baked-in dependency
-        raise RuntimeError("array-native trace emitters require numpy")
     from repro.memory.vec import REF_DTYPE
     return np.empty(size, dtype=REF_DTYPE)
 

@@ -1,7 +1,7 @@
 """Numpy-vectorized trace replay: whole-trace array kernels.
 
-``replay_traces(..., backend="numpy")`` routes single-CPU replays through
-this module.  The contract is the PR 3 one, unchanged: the replay must be
+``repro.memory.mp.replay_traces`` routes every single-CPU replay through
+this module; it is the only single-CPU fast path.  The replay must be
 *access-for-access identical* to the reference ``run_interleaved`` path —
 same hit/miss/evict/upgrade/TLB counters, same float operation order,
 hence bit-identical timing.  The representation changes, the semantics
@@ -18,11 +18,13 @@ its own whole-trace oracle:
   fixed-length chunks and simulated as parallel numpy *lanes*: the state
   is a ``lanes x ways`` tag/dirty/age matrix advanced one vectorized step
   per chunk position (hit detect via an equality matrix, LRU victim via
-  ``argmin`` over ages).  Chunk 0 of every set is seeded from the true
-  cache state, so it is exact from the start.  Later chunks start empty
-  and rely on the LRU *convergence* property: once a chunk has touched
-  ``ways`` distinct tags (position ``v``), set content and recency order
-  are independent of the initial state.  A short scalar warmup replays
+  ``argmin`` over ages).  Lanes are packed step by step, longest first,
+  so a step reads one contiguous slice and no cell is padding.  Chunk 0
+  of every set is seeded from the true cache state, so it is exact from
+  the start.  Later chunks start empty and rely on the LRU
+  *convergence* property: once a chunk has touched ``ways`` distinct
+  tags (position ``v``), set content and recency order are independent
+  of the initial state.  A short scalar warmup replays
   ``[0, v]`` from the true state to fix up the pre-convergence outcomes,
   and the only post-``v`` divergence — dirty bits inherited across the
   chunk boundary — is repaired sparsely (flip the affected victim's
@@ -46,25 +48,26 @@ its own whole-trace oracle:
   precomputed constants (TLB hit/miss x L1 hit/L2 refill); only refill
   *misses* — which serialize through the address-phase sequencer and the
   DRAM banks — run scalar, calling the real sequencer/DRAM/data-bus
-  objects between cumsum segments.
+  objects between cumsum segments.  The sums run through one small
+  scratch buffer, so no whole-trace float array is built for them.
 
-The engine falls back (returns ``None``) whenever its preconditions do
-not hold: more than one active trace, SHARED lines resident anywhere in
-the active CPU's caches, or non-empty caches on the other CPUs.  Callers
-then take the scalar fast path, which is always available.  Stall models
-must be pure functions of ``(latency_ns, compute_ns)`` — every model in
-:mod:`repro.cpu.pipeline` is.
+The engine declines (returns ``None``) whenever its preconditions do
+not hold: SHARED lines resident anywhere in the active CPU's caches,
+non-empty caches on the other CPUs, or an address outside int64 or
+negative.  ``replay_traces`` then takes the merged scalar loop, which is
+always available.  Stall models must be pure functions of
+``(latency_ns, compute_ns)`` — every model in :mod:`repro.cpu.pipeline`
+is.
 
 ``replay_batch`` stacks many independent replays (one isolated
-``MultiprocessorMemory`` each, e.g. many sweep points) into *one* padded
-lane matrix per lockstep pass, so the per-step numpy dispatch overhead is
-amortised across all of them — the batched mode behind the
-``replay_backend`` sweep option.
+``MultiprocessorMemory`` each, e.g. many sweep points) into *one* packed
+lane stream per lockstep pass, so the per-step numpy dispatch overhead is
+amortised across all of them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +84,11 @@ _SHARED = int(MESIState.SHARED)
 #: in flight per step, amortising numpy dispatch) but more warmup
 #: fixups; 256 balances the two on the fig7 geometry.
 _L1_CHUNK = 256
+
+#: Slice length of the timing sums: the local clock and the totals are
+#: accumulated through one scratch buffer of ``2 * _TIMING_SLICE + 1``
+#: floats instead of whole-trace arrays.
+_TIMING_SLICE = 4096
 
 # ---------------------------------------------------------------------------
 # Trace coercion
@@ -103,91 +111,64 @@ def coerce_trace(trace) -> np.ndarray:
                        dtype=REF_DTYPE)
 
 
-def iter_refs(arr: np.ndarray) -> Iterator[Tuple[int, AccessType]]:
-    """Adapt an array trace back to ``(int, AccessType)`` pairs for the
-    scalar replay paths (INSTR collapses to READ, as everywhere else)."""
-    read = AccessType.READ
-    write = AccessType.WRITE
-    addrs = arr["addr"].tolist()
-    writes = arr["is_write"].tolist()
-    for addr, is_write in zip(addrs, writes):
-        yield addr, (write if is_write else read)
-
-
 # ---------------------------------------------------------------------------
 # The lockstep LRU engine
 # ---------------------------------------------------------------------------
 
 
-def _lockstep(lane_tags: np.ndarray, lane_write: np.ndarray,
-              lane_len: np.ndarray, ways: int,
+def _lockstep(tags: np.ndarray, writes: np.ndarray, active: np.ndarray,
+              step_start: np.ndarray, ways: int,
               init_tags: np.ndarray, init_dirty: np.ndarray):
     """Advance many independent LRU sets one access per step, in lockstep.
 
-    ``lane_tags``/``lane_write`` are ``(lanes, width)`` matrices padded
-    with ``-1``/False past each lane's length; ``init_tags`` is
-    ``(lanes, ways)`` in LRU->MRU order, ``-1`` marking empty ways.
+    Lanes come in descending length order and their accesses are packed
+    step-major: step ``t`` holds position ``t`` of the ``active[t]``
+    lanes still running, at ``step_start[t]`` onwards, so no cell is
+    padding.  ``init_tags`` is ``(lanes, ways)`` in LRU->MRU order,
+    ``-1`` marking empty ways.
 
-    Returns per-position ``(hit, victim_tag, victim_dirty)`` matrices and
-    the final ``(tags, dirty, age)`` state, all in input lane order.
+    Returns packed ``(hit, victim_tag, victim_dirty)`` arrays laid out
+    like the input, and the final ``(tags, dirty, age)`` state per lane.
     Empty ways are seeded with the lowest ages so misses fill them before
     evicting, exactly like ``Cache.access``.
     """
-    nl = lane_tags.shape[0]
-    if nl == 0:
-        empty = np.empty((0, 0))
-        return empty, empty, empty, init_tags, init_dirty, init_tags
-    order = np.argsort(-lane_len, kind="stable")
-    inv = np.empty(nl, dtype=np.int64)
-    inv[order] = np.arange(nl)
-    # Transposed (step, lane) layout: each step reads/writes one
-    # contiguous row instead of a strided column.
-    tags_t = np.ascontiguousarray(lane_tags[order].T)
-    writes_t = np.ascontiguousarray(lane_write[order].T)
-    lens = lane_len[order]
-    lmax = int(lens[0])
-
     slot = np.arange(ways, dtype=np.int64)
-    st_tags = lane_tags.dtype.type(0) + init_tags[order]  # fresh C copy
-    st_dirty = init_dirty[order] | False
-    st_age = np.ascontiguousarray(
-        np.where(st_tags >= 0, slot + ways, slot - ways))
+    st_tags = init_tags.astype(np.int64)  # fresh C copies
+    st_dirty = init_dirty.astype(bool)
+    st_age = np.where(st_tags >= 0, slot + ways, slot - ways)
     flat_tags = st_tags.reshape(-1)
     flat_dirty = st_dirty.reshape(-1)
     flat_age = st_age.reshape(-1)
 
-    out_hit_t = np.zeros((lmax, nl), dtype=bool)
-    out_vt_t = np.full((lmax, nl), -1, dtype=np.int64)
-    out_vd_t = np.zeros((lmax, nl), dtype=bool)
-    active = np.searchsorted(-lens, -np.arange(lmax), side="left")
-    row_base = np.arange(nl, dtype=np.int64) * ways
+    total = len(tags)
+    out_hit = np.zeros(total, dtype=bool)
+    out_vt = np.empty(total, dtype=np.int64)
+    out_vd = np.zeros(total, dtype=bool)
+    row_base = np.arange(len(init_tags), dtype=np.int64) * ways
     base_age = 2 * ways
     # A matching way outranks every age (ages are >= -ways), so one
     # masked argmin picks the hit way *or* the LRU victim, and the score
     # value at the pick says which it was.  Victim tag/dirty are stored
-    # raw and masked by the hit matrix after the loop, off the hot path.
+    # raw and masked by the hit array after the loop, off the hot path.
     sentinel = np.int64(-2 * ways - 1)
-    for t in range(lmax):
-        a = int(active[t])
-        cur = tags_t[t, :a]
+    for t, (a, lo) in enumerate(zip(active.tolist(), step_start.tolist())):
+        hi = lo + a
+        cur = tags[lo:hi]
         eq = st_tags[:a] == cur[:, None]
         score = np.where(eq, sentinel, st_age[:a])
         way = score.argmin(axis=1)
         idx = row_base[:a] + way
         hit = score.reshape(-1)[idx] == sentinel
         vd = flat_dirty[idx]
-        out_hit_t[t, :a] = hit
-        out_vt_t[t, :a] = flat_tags[idx]
-        out_vd_t[t, :a] = vd
+        out_hit[lo:hi] = hit
+        out_vt[lo:hi] = flat_tags[idx]
+        out_vd[lo:hi] = vd
         flat_tags[idx] = cur
-        flat_dirty[idx] = (vd & hit) | writes_t[t, :a]
+        flat_dirty[idx] = (vd & hit) | writes[lo:hi]
         flat_age[idx] = base_age + t
-    hit_m = out_hit_t.T[inv]
-    vt_m = out_vt_t.T[inv]
-    vd_m = out_vd_t.T[inv]
-    vt_m[hit_m] = -1
-    vd_m &= ~hit_m
-    return hit_m, vt_m, vd_m, st_tags[inv], st_dirty[inv], st_age[inv]
+    out_vt[out_hit] = -1
+    out_vd &= ~out_hit
+    return out_hit, out_vt, out_vd, st_tags, st_dirty, st_age
 
 
 def _state_dicts(fin_tags, fin_dirty, fin_age) -> List[Dict[int, bool]]:
@@ -205,28 +186,29 @@ def _state_dicts(fin_tags, fin_dirty, fin_age) -> List[Dict[int, bool]]:
 
 
 class _LanePlan:
-    """One cache structure's lane decomposition plus lockstep results."""
+    """One cache structure's lane decomposition plus lockstep results.
+
+    ``tags``/``writes`` are the access stream sorted by set (``order``
+    maps it back to stream order); lane ``j`` is the slice of
+    ``lane_len[j]`` accesses from ``lane_start[j]``.  The lockstep
+    outcomes ``hit``/``vtag``/``vdirty`` land in the same sorted order.
+    """
 
     __slots__ = ("ways", "order", "lane_set", "lane_start", "lane_len",
-                 "lane_first", "width", "idx_flat", "tags", "writes",
-                 "init_tags", "init_dirty", "hit", "vtag", "vdirty", "final")
+                 "lane_first", "tags", "writes", "init_tags", "init_dirty",
+                 "hit", "vtag", "vdirty", "final")
 
 
 def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
                 chunk) -> _LanePlan:
     """Sort a tag stream by set index, cut per-set runs into lanes of at
-    most ``chunk`` accesses (``None`` = one lane per set), build padded
-    lane matrices, and seed each set's first lane from the true state.
-
-    Lanes are contiguous slices of the sorted stream, so ``idx_flat``
-    maps sorted positions to flattened ``(lane, pos)`` cells both for the
-    scatter here and the outcome gather later.
-    """
+    most ``chunk`` accesses (``None`` = one lane per set), and seed each
+    set's first lane from the true state."""
     plan = _LanePlan()
     plan.ways = ways
-    # Set indices are tiny ints; int32 halves the radix passes of the
-    # stable argsort that groups the stream by set.
-    order = np.argsort(sidx.astype(np.int32, copy=False), kind="stable")
+    # Set indices are tiny ints (``sidx`` comes as int32): that halves
+    # the radix passes of the stable argsort that groups them by set.
+    order = np.argsort(sidx, kind="stable")
     plan.order = order
     counts = np.bincount(sidx, minlength=n_sets)
     set_starts = np.concatenate(([0], np.cumsum(counts)))
@@ -246,20 +228,10 @@ def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
     nl = len(lane_set)
     plan.lane_set = lane_set
     plan.lane_first = lane_first
-    starts = np.asarray(lane_start, dtype=np.int64)
-    lens = np.asarray(lane_len, dtype=np.int64)
-    plan.lane_start = starts
-    plan.lane_len = lens
-    width = int(lens.max()) if nl else 0
-    plan.width = width
-    n = len(sidx)
-    elem_lane = np.repeat(np.arange(nl, dtype=np.int64), lens)
-    elem_pos = np.arange(n, dtype=np.int64) - np.repeat(starts, lens)
-    plan.idx_flat = elem_lane * width + elem_pos
-    plan.tags = np.full((nl, width), -1, dtype=np.int64)
-    plan.writes = np.zeros((nl, width), dtype=bool)
-    plan.tags.reshape(-1)[plan.idx_flat] = values[order]
-    plan.writes.reshape(-1)[plan.idx_flat] = writes[order]
+    plan.lane_start = np.asarray(lane_start, dtype=np.int64)
+    plan.lane_len = np.asarray(lane_len, dtype=np.int64)
+    plan.tags = values[order]
+    plan.writes = writes[order]
     init_tags = np.full((nl, ways), -1, dtype=np.int64)
     init_dirty = np.zeros((nl, ways), dtype=bool)
     for j in range(nl):
@@ -278,36 +250,45 @@ def _plan_lanes(values, writes, sidx, n_sets: int, cache_sets, ways: int,
 
 def _pooled_lockstep(plans: Sequence[_LanePlan]) -> None:
     """Run one lockstep pass over many plans' lanes, pooled by way count,
-    and land results back on each plan (sliced to its own width)."""
+    and land each plan's outcomes and final lane states back on it."""
     groups: Dict[int, List[_LanePlan]] = {}
     for plan in plans:
         groups.setdefault(plan.ways, []).append(plan)
     for ways, members in groups.items():
-        width = max(p.width for p in members)
-
-        def pad(mat, fill):
-            if mat.shape[1] == width:
-                return mat
-            out = np.full((mat.shape[0], width), fill, dtype=mat.dtype)
-            out[:, :mat.shape[1]] = mat
-            return out
-
-        tags = np.concatenate([pad(p.tags, -1) for p in members])
-        writes = np.concatenate([pad(p.writes, False) for p in members])
         lens = np.concatenate([p.lane_len for p in members])
-        init_t = np.concatenate([p.init_tags for p in members])
-        init_d = np.concatenate([p.init_dirty for p in members])
-        hit, vt, vd, ft, fd, fa = _lockstep(tags, writes, lens, ways,
-                                            init_t, init_d)
-        row = 0
+        by_len = np.argsort(-lens, kind="stable")
+        rank = np.empty(len(lens), dtype=np.int64)
+        rank[by_len] = np.arange(len(lens))
+        lens_desc = lens[by_len]
+        lmax = int(lens_desc[0]) if len(lens) else 0
+        active = np.searchsorted(-lens_desc, -np.arange(lmax), side="left")
+        step_start = np.zeros(lmax, dtype=np.int64)
+        np.cumsum(active[:-1], out=step_start[1:])
+        tags = np.empty(int(lens.sum()), dtype=np.int64)
+        writes = np.empty(len(tags), dtype=bool)
+        # Each access's packed cell: its step's start plus its lane's rank.
+        cells = []
+        first = 0
         for plan in members:
-            nl = plan.tags.shape[0]
-            sl = slice(row, row + nl)
-            plan.hit = np.ascontiguousarray(hit[sl, :plan.width])
-            plan.vtag = np.ascontiguousarray(vt[sl, :plan.width])
-            plan.vdirty = np.ascontiguousarray(vd[sl, :plan.width])
-            plan.final = (ft[sl], fd[sl], fa[sl])
-            row += nl
+            nl = len(plan.lane_len)
+            pos = np.arange(len(plan.tags)) - np.repeat(plan.lane_start,
+                                                        plan.lane_len)
+            cell = step_start[pos]
+            cell += np.repeat(rank[first:first + nl], plan.lane_len)
+            tags[cell] = plan.tags
+            writes[cell] = plan.writes
+            cells.append(cell)
+            first += nl
+        init_t = np.concatenate([p.init_tags for p in members])[by_len]
+        init_d = np.concatenate([p.init_dirty for p in members])[by_len]
+        hit, vt, vd, ft, fd, fa = _lockstep(tags, writes, active, step_start,
+                                            ways, init_t, init_d)
+        first = 0
+        for plan, cell in zip(members, cells):
+            lanes = rank[first:first + len(plan.lane_len)]
+            plan.hit, plan.vtag, plan.vdirty = hit[cell], vt[cell], vd[cell]
+            plan.final = (ft[lanes], fd[lanes], fa[lanes])
+            first += len(lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +304,7 @@ class _Job:
         "addr", "is_write",
         "l1_plan", "l1_hit", "l1_vtag", "l1_vdirty", "l1_final",
         "tlb_miss", "tlb_evictions", "tlb_final",
-        "op_addr", "op_write", "op_refill", "op_src",
+        "op_write", "op_refill", "op_src",
         "l2_plan", "op_hit", "op_vtag", "op_vdirty", "l2_final",
     )
 
@@ -354,7 +335,7 @@ def _supported(memory) -> bool:
 def _plan_l1(job: _Job) -> None:
     l1 = job.memory.l1s[0]
     tag = job.addr >> l1._set_shift
-    sidx = tag & l1._set_mask
+    sidx = (tag & l1._set_mask).astype(np.int32)
     job.l1_plan = _plan_lanes(tag, job.is_write, sidx, len(l1._sets),
                               l1._sets, l1._ways, _L1_CHUNK)
 
@@ -374,27 +355,29 @@ def _fixup_l1(job: _Job) -> None:
     plan = job.l1_plan
     ways = plan.ways
     hit, vtag, vdirty = plan.hit, plan.vtag, plan.vdirty
-    fin_tags, fin_dirty, fin_age = plan.final
-    states = _state_dicts(fin_tags, fin_dirty, fin_age)
+    states = _state_dicts(*plan.final)
     # Convergence point per lane, found vectorially: in a from-empty
     # engine lane every pre-convergence miss is a new distinct tag, so
-    # ``v`` is exactly the position of the ``ways``-th engine miss.
-    # Padding counts as misses, but ``v >= length`` is treated as
-    # non-converged anyway.
-    miss_rank = np.cumsum(~hit, axis=1)
-    v_arr = (miss_rank < ways).sum(axis=1).tolist()
+    # ``v`` is exactly the position of the ``ways``-th engine miss; the
+    # running miss count over the sorted stream finds it for every lane
+    # at once.  ``v >= length`` means the lane never converged.
+    misses = np.cumsum(~hit)
+    before = np.concatenate(([0], misses))[plan.lane_start]
+    v_arr = (np.searchsorted(misses, before + ways, side="left")
+             - plan.lane_start).tolist()
     final_states: Dict[int, Dict[int, bool]] = {}
     state: Dict[int, bool] = {}
     for j, s in enumerate(plan.lane_set):
-        length = int(plan.lane_len[j])
         if plan.lane_first[j]:
             state = states[j]
             final_states[s] = state
             continue
+        start = int(plan.lane_start[j])
+        length = int(plan.lane_len[j])
         v = v_arr[j] if v_arr[j] < length else None
         upto_v = length if v is None else v + 1
-        tags_l = plan.tags[j, :upto_v].tolist()
-        writes_l = plan.writes[j, :upto_v].tolist()
+        tags_l = plan.tags[start:start + upto_v].tolist()
+        writes_l = plan.writes[start:start + upto_v].tolist()
         written = set()
         o_hit: List[bool] = []
         o_vt: List[int] = []
@@ -418,10 +401,10 @@ def _fixup_l1(job: _Job) -> None:
                 o_vd.append(victim_dirty)
             if w:
                 written.add(tg)
-        upto = len(o_hit)
-        hit[j, :upto] = o_hit
-        vtag[j, :upto] = o_vt
-        vdirty[j, :upto] = o_vd
+        upto = start + len(o_hit)
+        hit[start:upto] = o_hit
+        vtag[start:upto] = o_vt
+        vdirty[start:upto] = o_vd
         if v is None:
             # Fewer than `ways` distinct tags: the whole lane was just
             # replayed scalar and `state` (aliased by final_states[s])
@@ -433,9 +416,9 @@ def _fixup_l1(job: _Job) -> None:
             if (tg in written) == true_dirty:
                 continue
             if row_vt is None:
-                row_tags = plan.tags[j, :length]
-                row_writes = plan.writes[j, :length]
-                row_vt = vtag[j, :length]
+                row_tags = plan.tags[start:start + length]
+                row_writes = plan.writes[start:start + length]
+                row_vt = vtag[start:start + length]
             occ = np.nonzero((row_tags == tg) & row_writes)[0]
             occ = occ[occ > v]
             evs = np.nonzero(row_vt == tg)[0]
@@ -443,7 +426,7 @@ def _fixup_l1(job: _Job) -> None:
             first_write = int(occ[0]) if occ.size else length
             first_evict = int(evs[0]) if evs.size else length
             if first_evict < first_write:
-                vdirty[j, first_evict] = true_dirty
+                vdirty[start + first_evict] = true_dirty
             elif first_write == length and first_evict == length:
                 carried[tg] = true_dirty
         state = states[j]
@@ -451,14 +434,14 @@ def _fixup_l1(job: _Job) -> None:
         final_states[s] = state
 
     n = job.n
-    flat = plan.idx_flat
     job.l1_hit = np.empty(n, dtype=bool)
     job.l1_vtag = np.empty(n, dtype=np.int64)
     job.l1_vdirty = np.empty(n, dtype=bool)
-    job.l1_hit[plan.order] = hit.reshape(-1)[flat]
-    job.l1_vtag[plan.order] = vtag.reshape(-1)[flat]
-    job.l1_vdirty[plan.order] = vdirty.reshape(-1)[flat]
+    job.l1_hit[plan.order] = hit
+    job.l1_vtag[plan.order] = vtag
+    job.l1_vdirty[plan.order] = vdirty
     job.l1_final = final_states
+    job.l1_plan = None
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +455,7 @@ def _run_tlb_scalar(job: _Job, pages, resident: Dict[int, None],
     insert) — the fallback when the trace is miss-dominated."""
     miss = np.zeros(job.n, dtype=bool)
     evictions = 0
-    for i, page in enumerate(pages.tolist()):
+    for i, page in enumerate(memoryview(pages)):
         if page in resident:
             del resident[page]
             resident[page] = None
@@ -526,13 +509,14 @@ def _run_tlb(job: _Job) -> None:
     cand_pos.sort()
 
     # Page-group bounds into ``order`` (ascending occurrence positions),
-    # for last-touch lookups; one shared list avoids per-page tolist().
+    # for last-touch lookups; a memoryview indexes ``order`` as Python
+    # ints without a whole-trace list.
     starts = np.nonzero(~same)[0]
     ends = np.append(starts[1:], n)
     bounds: Dict[int, Tuple[int, int]] = {}
     for b, e in zip(starts.tolist(), ends.tolist()):
         bounds[int(sorted_pages[b])] = (b, e)
-    order_list = order.tolist()
+    order_list = memoryview(order)
     init_rank = {page: rank - capacity
                  for rank, page in enumerate(resident)}
 
@@ -586,25 +570,24 @@ def _run_tlb(job: _Job) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _plan_l2(job: _Job) -> None:
+def _l2_ops(job: _Job):
     """Scatter the three L2 op sources out of the L1 outcomes.
 
     Per access, in reference order: a write L1-hit syncs dirtiness (WH); an
     L1 miss first writes back a dirty victim (VWB), then refills the line
     (REFILL).  Every op is a plain ``Cache.access`` on the private L2.
+    Returns the op stream as ``(addr, write, refill, src)`` columns,
+    ``src`` being the access each op came from.
     """
-    l1 = job.memory.l1s[0]
-    l2 = job.memory.l2s[0]
     addr, is_write = job.addr, job.is_write
     l1_hit, vdirty = job.l1_hit, job.l1_vdirty
 
     wh = l1_hit & is_write
     l1_miss = ~l1_hit
     vwb = l1_miss & vdirty
-    counts = wh.astype(np.int64) + l1_miss + vwb
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    offsets = cum
+    counts = wh.astype(np.int32) + l1_miss + vwb
+    offsets = np.cumsum(counts, dtype=np.int64)
+    total = int(offsets[-1])
     offsets -= counts
     op_addr = np.empty(total, dtype=np.int64)
     op_write = np.empty(total, dtype=bool)
@@ -621,7 +604,7 @@ def _plan_l2(job: _Job) -> None:
     op_write[idx] = True
     op_src[idx] = wh_pos
     idx = offsets[vwb_pos]
-    op_addr[idx] = job.l1_vtag[vwb_pos] << l1._set_shift
+    op_addr[idx] = job.l1_vtag[vwb_pos] << job.memory.l1s[0]._set_shift
     op_write[idx] = True
     op_src[idx] = vwb_pos
     idx = offsets[miss_pos] + vwb[miss_pos]
@@ -629,36 +612,56 @@ def _plan_l2(job: _Job) -> None:
     op_write[idx] = is_write[miss_pos]
     op_refill[idx] = True
     op_src[idx] = miss_pos
+    return op_addr, op_write, op_refill, op_src
 
-    job.op_addr, job.op_write = op_addr, op_write
-    job.op_refill, job.op_src = op_refill, op_src
 
-    tag = op_addr >> l2._set_shift
-    sidx = tag & l2._set_mask
-    job.l2_plan = _plan_lanes(tag, op_write, sidx, len(l2._sets), l2._sets,
-                              l2._ways, None)
+def _plan_l2(job: _Job) -> None:
+    l2 = job.memory.l2s[0]
+    tag, job.op_write, job.op_refill, job.op_src = _l2_ops(job)
+    tag >>= l2._set_shift
+    sidx = (tag & l2._set_mask).astype(np.int32)
+    job.l2_plan = _plan_lanes(tag, job.op_write, sidx, len(l2._sets),
+                              l2._sets, l2._ways, None)
 
 
 def _gather_l2(job: _Job) -> None:
     """Per-set L2 lanes are exact (true seed, no chunking): just scatter
     outcomes back to op order and keep the final states for the commit."""
     plan = job.l2_plan
-    total = len(job.op_addr)
-    fin_tags, fin_dirty, fin_age = plan.final
-    states = _state_dicts(fin_tags, fin_dirty, fin_age)
+    states = _state_dicts(*plan.final)
     job.l2_final = {s: states[j] for j, s in enumerate(plan.lane_set)}
-    flat = plan.idx_flat
+    total = len(plan.order)
     job.op_hit = np.empty(total, dtype=bool)
     job.op_vtag = np.empty(total, dtype=np.int64)
     job.op_vdirty = np.empty(total, dtype=bool)
-    job.op_hit[plan.order] = plan.hit.reshape(-1)[flat]
-    job.op_vtag[plan.order] = plan.vtag.reshape(-1)[flat]
-    job.op_vdirty[plan.order] = plan.vdirty.reshape(-1)[flat]
+    job.op_hit[plan.order] = plan.hit
+    job.op_vtag[plan.order] = plan.vtag
+    job.op_vdirty[plan.order] = plan.vdirty
+    job.l2_plan = None
 
 
 # ---------------------------------------------------------------------------
 # Timing, stats, commit
 # ---------------------------------------------------------------------------
+
+
+def _accumulate(start: float, columns, buf: np.ndarray) -> float:
+    """``start`` plus the elements of ``columns`` taken in turn —
+    ``columns[0][0], columns[1][0], ..., columns[0][1], ...`` — as
+    sequential float adds (``np.cumsum`` is bit-identical to them), fed
+    slice by slice through the scratch buffer ``buf``."""
+    k = len(columns)
+    n = len(columns[0])
+    step = (len(buf) - 1) // k
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        seg = buf[:k * (hi - lo) + 1]
+        seg[0] = start
+        for j, column in enumerate(columns):
+            seg[1 + j::k] = column[lo:hi]
+        np.cumsum(seg, out=seg)
+        start = float(seg[-1])
+    return start
 
 
 def _finish(job: _Job):
@@ -675,19 +678,14 @@ def _finish(job: _Job):
     line = config.l1.line_bytes
     l2_shift = memory.l2s[0]._set_shift
 
-    refill = job.op_refill
-    refill_src = job.op_src[refill]
-    refill_hit = np.zeros(n, dtype=bool)
-    refill_hit[refill_src] = job.op_hit[refill]
-    refill_wb = np.zeros(n, dtype=bool)
-    refill_wb[refill_src] = ~job.op_hit[refill] & (
-        job.op_vtag[refill] >= 0) & job.op_vdirty[refill]
-    refill_wb_addr = np.zeros(n, dtype=np.int64)
-    refill_wb_addr[refill_src] = job.op_vtag[refill] << l2_shift
+    # Refills that miss L2 fetch from memory; only they run scalar.
+    refills = np.nonzero(job.op_refill)[0]
+    fetches = refills[~job.op_hit[refills]]
+    fetch_pos = job.op_src[fetches].tolist()
+    victim_dirty = job.op_vdirty[fetches] & (job.op_vtag[fetches] >= 0)
+    victim_tag = np.where(victim_dirty, job.op_vtag[fetches], -1).tolist()
 
     l1_hit, tlb_miss = job.l1_hit, job.tlb_miss
-    slow = ~l1_hit & ~refill_hit
-
     # The four fast stall constants, argument grouping per the reference.
     stall_consts = np.array([
         stall(0.0 + l1_hit_ns, compute_ns),
@@ -695,29 +693,20 @@ def _finish(job: _Job):
         stall(tlb_miss_ns + l1_hit_ns, compute_ns),
         stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns),
     ])
-    key = tlb_miss.astype(np.int64) * 2 + ~l1_hit
+    key = (tlb_miss.view(np.uint8) << 1) | (~l1_hit).view(np.uint8)
     stall_arr = stall_consts[key]
 
-    interleaved = np.empty(2 * n)
-    interleaved[0::2] = compute_ns
-    interleaved[1::2] = stall_arr
-
+    compute_col = np.broadcast_to(np.float64(compute_ns), (n,))
+    buf = np.empty(2 * min(n, _TIMING_SLICE) + 1)
     sequencer = memory.sequencer
     memory_fetch = memory._memory_fetch
     addr_col = job.addr
     local = 0.0
     queueing_total = 0.0
     seg_start = 0
-    buf = np.empty(2 * n + 1)
-    for si in np.nonzero(slow)[0]:
-        si = int(si)
-        if si > seg_start:
-            m = 2 * (si - seg_start) + 1
-            seg = buf[:m]
-            seg[0] = local
-            seg[1:] = interleaved[2 * seg_start:2 * si]
-            np.cumsum(seg, out=seg)
-            local = float(seg[-1])
+    for si, wb_tag in zip(fetch_pos, victim_tag):
+        local = _accumulate(local, (compute_col[seg_start:si],
+                                    stall_arr[seg_start:si]), buf)
         issue = local + compute_ns
         translation = tlb_miss_ns if tlb_miss[si] else 0.0
         latency = translation + l1_hit_ns
@@ -728,32 +717,30 @@ def _finish(job: _Job):
         start, done = memory_fetch(phase_done, int(addr_col[si]), line)
         queueing += start - phase_done
         latency += done - phase_done
-        if refill_wb[si]:
-            memory_fetch(phase_done, int(refill_wb_addr[si]), line)
+        if wb_tag >= 0:
+            memory_fetch(phase_done, wb_tag << l2_shift, line)
         stall_ns = stall(latency, compute_ns)
         stall_arr[si] = stall_ns
-        interleaved[2 * si + 1] = stall_ns
         local = issue + stall_ns
         queueing_total += queueing
         seg_start = si + 1
-    if seg_start < n:
-        m = 2 * (n - seg_start) + 1
-        seg = buf[:m]
-        seg[0] = local
-        seg[1:] = interleaved[2 * seg_start:]
-        np.cumsum(seg, out=seg)
-        local = float(seg[-1])
+    local = _accumulate(local, (compute_col[seg_start:],
+                                stall_arr[seg_start:]), buf)
 
-    _commit(job, refill, refill_wb)
-    compute_total = float(np.cumsum(np.full(n, compute_ns))[-1])
-    stall_total = float(np.cumsum(stall_arr)[-1])
-    return CpuRunResult(finish_ns=local, steps=n, compute_ns=compute_total,
-                        stall_ns=stall_total, queueing_ns=queueing_total)
+    _commit(job, len(refills) - len(fetches), len(fetches),
+            int(np.count_nonzero(victim_dirty)))
+    return CpuRunResult(finish_ns=local, steps=n,
+                        compute_ns=_accumulate(0.0, (compute_col,), buf),
+                        stall_ns=_accumulate(0.0, (stall_arr,), buf),
+                        queueing_ns=queueing_total)
 
 
-def _commit(job: _Job, refill: np.ndarray, refill_wb: np.ndarray) -> None:
+def _commit(job: _Job, l2_refills: int, fetches: int,
+            writebacks: int) -> None:
     """Fold the oracle outcomes into the real caches and counters, with
-    the same per-key attribution as the scalar routes."""
+    the same per-key attribution as the scalar routes.  ``l2_refills``
+    L1 misses hit L2, ``fetches`` went to memory and ``writebacks`` of
+    those pushed a dirty L2 victim."""
     memory = job.memory
     l1, l2, tlb = memory.l1s[0], memory.l2s[0], memory.tlbs[0]
     is_write, l1_hit = job.is_write, job.l1_hit
@@ -787,14 +774,13 @@ def _commit(job: _Job, refill: np.ndarray, refill_wb: np.ndarray) -> None:
     incr(tlb.stats, "misses", tlb_misses)
     incr(tlb.stats, "evictions", job.tlb_evictions)
 
-    refill_hits = count(refill & op_hit)
-    incr(memory.domain.stats, "hit", refill_hits)
-    incr(memory.domain.stats, "miss", count(refill & ~op_hit))
+    incr(memory.domain.stats, "hit", l2_refills)
+    incr(memory.domain.stats, "miss", fetches)
     incr(memory.stats, "l1_hits", count(l1_hit))
     incr(memory.stats, "tlb_misses", tlb_misses)
-    incr(memory.stats, "l2_hits", refill_hits)
-    incr(memory.stats, "memory_accesses", count(refill & ~op_hit))
-    incr(memory.stats, "writebacks", count(refill_wb))
+    incr(memory.stats, "l2_hits", l2_refills)
+    incr(memory.stats, "memory_accesses", fetches)
+    incr(memory.stats, "writebacks", writebacks)
 
     for cache, finals in ((l1, job.l1_final), (l2, job.l2_final)):
         for s, state in finals.items():

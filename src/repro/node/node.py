@@ -55,7 +55,6 @@ class NodeModel:
     def run_traces(self, traces: Sequence[Iterable[MemRef]],
                    compute_ns_per_access: float,
                    use_fast_path: bool = True,
-                   backend: str = "fast",
                    ) -> TraceRunResult:
         """Replay one ``(addr, AccessType)`` stream per active CPU.
 
@@ -67,21 +66,17 @@ class NodeModel:
         so a warming replay followed by a measured replay behaves like two
         timed sections of one program.
 
-        The replay normally takes the batched fast path of
-        :func:`repro.memory.mp.replay_traces`, which resolves L1 hits and
-        L1 misses refilled from the CPU's own E/M L2 line in-loop on one
-        CPU or many (identical semantics, counters and timing);
-        ``use_fast_path=False`` forces the reference per-access path, and
-        ``backend="numpy"`` routes
-        single-CPU replays through the vectorized engine (same
-        equivalence contract; traces may be ``repro.memory.vec``
-        structured arrays from the ``trace_gen`` array emitters).
+        The replay normally takes the fast path of
+        :func:`repro.memory.mp.replay_traces`: the vectorized engine for
+        one CPU, the merged scalar loop for several (identical semantics,
+        counters and timing).  Traces may be iterables or the structured
+        arrays of the ``trace_gen`` array emitters;
+        ``use_fast_path=False`` forces the reference per-access path.
         """
         self.memory.reset_timing()
         results = replay_traces(self.memory, traces, compute_ns_per_access,
                                 [self._stall] * len(traces),
-                                use_fast_path=use_fast_path,
-                                backend=backend)
+                                use_fast_path=use_fast_path)
         per_cpu = [r.finish_ns for r in results]
         return TraceRunResult(elapsed_ns=max(per_cpu), per_cpu_ns=per_cpu,
                               steps=sum(r.steps for r in results))

@@ -9,14 +9,9 @@ has to beat:
 
 * ``fig6_hint`` — HINT refinement + checkpoint scan replays (DOUBLE).
 * ``fig7_matmult`` — full naive MatMult address-trace replay (N=48,
-  caches scaled 1/16): the cache/TLB hot loop.
-* ``fig7_matmult_vec`` — the same replay through the numpy backend
-  (``replay_backend="numpy"``): identical work/check by the equivalence
-  contract, so its wall-time ratio to ``fig7_matmult`` *is* the
-  vectorization speedup.
+  caches scaled 1/16) on one CPU: the vectorized replay engine.
 * ``replay_batch_vec`` — many independent sweep-point replays stacked
-  into single padded lockstep passes via ``vec.replay_batch``: the
-  batched multi-point mode behind ``run_sweep(replay_backend="numpy")``.
+  into single packed lockstep passes via ``vec.replay_batch``.
 * ``fig8_smp`` — naive MatMult (N=24, caches scaled 1/16) on one and on
   both PowerMANNA CPUs: the merged multi-CPU replay behind Figure 8.
 * ``fig9_pingpong`` — one-way latency ping-pongs over the full DES stack
@@ -111,21 +106,10 @@ def _kernel_fig7_matmult() -> Tuple[int, str, float]:
     return accesses, "accesses", result.mflops
 
 
-def _kernel_fig7_matmult_vec() -> Tuple[int, str, float]:
-    from repro.bench.matmult import run_matmult
-    from repro.core.specs import POWERMANNA
-
-    node = POWERMANNA.node(scale=16)
-    result = run_matmult(node, 48, version="naive",
-                         machine_key="powermanna", replay_backend="numpy")
-    accesses = sum(l1.access_count() for l1 in node.memory.l1s)
-    return accesses, "accesses", result.mflops
-
-
 def _kernel_replay_batch_vec() -> Tuple[int, str, float]:
     """Batched multi-point replay: several independent MatMult points
     (one isolated memory each, as under ``run_sweep``) through one
-    ``vec.replay_batch`` call, so the padded lockstep passes are shared
+    ``vec.replay_batch`` call, so the packed lockstep passes are shared
     across all of them."""
     from repro.bench.matmult import _alloc_matrices, _per_access_compute_ns
     from repro.core.specs import POWERMANNA
@@ -200,7 +184,6 @@ def _kernel_topo_hypercube_1k() -> Tuple[int, str, float]:
 KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig6_hint": _kernel_fig6_hint,
     "fig7_matmult": _kernel_fig7_matmult,
-    "fig7_matmult_vec": _kernel_fig7_matmult_vec,
     "replay_batch_vec": _kernel_replay_batch_vec,
     "fig8_smp": _kernel_fig8_smp,
     "fig9_pingpong": _kernel_fig9_pingpong,

@@ -1,11 +1,15 @@
 """Fast-path vs. reference equivalence for the batch trace replay.
 
-``replay_traces(use_fast_path=True)`` must be *access-for-access*
+The merged scalar loop ``_replay_fast_merged`` — the default fast path
+for several CPUs and the fallback for one — must be *access-for-access*
 identical to the reference ``run_interleaved`` path: same hit/miss/
 evict/upgrade/TLB counters, same float operation order (hence
 bit-identical timing).  These property tests pin that over randomized
 traces designed to hit every replay regime — L1 hits, SHARED-line write
-upgrades, capacity misses, TLB thrashing — on one- and multi-CPU nodes.
+upgrades, capacity misses, TLB thrashing — calling the loop directly on
+one- and multi-CPU nodes, so the single-CPU cases test it even though
+``replay_traces`` sends one trace to the vectorized engine, whose own
+suite is ``test_vec_equivalence.py``.
 
 A second group pins the DES side the same way: the seeded fig9 run must
 produce an identical metrics snapshot run-to-run, so the pooled-event /
@@ -23,6 +27,7 @@ from repro.memory.mp import (
     FabricConfig,
     FabricKind,
     MultiprocessorMemory,
+    _replay_fast_merged,
     replay_traces,
 )
 from repro.memory.snoop import SnoopConfig
@@ -114,7 +119,12 @@ def counters(memory):
     }
 
 
-def replay_logged(traces, compute_ns, use_fast_path, **node):
+def reference(memory, traces, compute_ns, stalls):
+    return replay_traces(memory, traces, compute_ns, stalls,
+                         use_fast_path=False)
+
+
+def replay_logged(traces, compute_ns, engine, **node):
     """Replay on a fresh node; the counters also carry every latency the
     stall model saw, since a last-bit difference in one access's latency
     is lost once added to a large clock."""
@@ -125,15 +135,14 @@ def replay_logged(traces, compute_ns, use_fast_path, **node):
         latencies.append(latency)
         return latency
 
-    results = replay_traces(memory, [list(t) for t in traces], compute_ns,
-                            [stall] * len(traces),
-                            use_fast_path=use_fast_path)
+    results = engine(memory, [list(t) for t in traces], compute_ns,
+                     [stall] * len(traces))
     return results, {**counters(memory), "latencies": latencies}
 
 
 def run_traces_both(traces, compute_ns=5.0, **node):
-    return (replay_logged(traces, compute_ns, True, **node),
-            replay_logged(traces, compute_ns, False, **node))
+    return (replay_logged(traces, compute_ns, _replay_fast_merged, **node),
+            replay_logged(traces, compute_ns, reference, **node))
 
 
 def run_both(cpus, seed, length=3000, compute_ns=5.0, **node):

@@ -11,7 +11,8 @@ import pytest
 
 from repro.memory import trace_gen as tg
 from repro.memory.cache import AccessType
-from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
+from repro.memory.mp import iter_refs
+from repro.memory.vec import REF_DTYPE, coerce_trace
 
 
 def assert_twin(iterator, array):

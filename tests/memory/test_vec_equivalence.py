@@ -1,15 +1,17 @@
-"""Vectorized-backend vs. reference equivalence for trace replay.
+"""Vectorized-engine vs. reference equivalence for trace replay.
 
-``replay_traces(..., backend="numpy")`` carries the same contract as the
-scalar fast path: *access-for-access* identical to the reference
+``replay_traces`` sends every single-CPU replay through the vectorized
+engine of :mod:`repro.memory.vec`.  It carries the same contract as the
+merged scalar loop: *access-for-access* identical to the reference
 ``run_interleaved`` route — same hit/miss/evict/upgrade/TLB counters,
 same float operation order, hence bit-identical timing, and the same
 final cache/TLB contents and recency order.  The hypothesis suite here
 pins that over randomized traces spanning every replay regime (L1-hit
 runs, write fractions from read-only to write-heavy, TLB churn and
-L2-thrashing spans), mirroring ``test_replay_equivalence.py``; the
-multi-CPU cases additionally pin that the backend's fallback (vec only
-handles single-trace replays) stays identical too.
+L2-thrashing spans), mirroring ``test_replay_equivalence.py``.  Further
+groups pin the stall arguments the engine passes, that the figure
+kernels really take it, and that its fallback to the scalar loop (warm
+sibling CPU, SHARED line, address outside int64) stays identical too.
 """
 
 import random
@@ -19,11 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memory import mp
 from repro.memory.cache import AccessType
-from repro.memory.mp import REPLAY_BACKENDS, replay_traces
-from repro.memory.vec import REF_DTYPE, coerce_trace, iter_refs
+from repro.memory.hierarchy import ServiceLevel
+from repro.memory.mp import _replay_fast_merged, iter_refs, replay_traces
+from repro.memory.vec import REF_DTYPE, _SHARED, _supported, coerce_trace
 
-from .test_replay_equivalence import counters, make_memory, random_trace
+from .test_replay_equivalence import (
+    counters,
+    make_memory,
+    private_trace,
+    random_trace,
+)
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
@@ -43,7 +52,7 @@ def run_pair(cpus, traces, compute_ns=5.0):
     stalls = [lambda latency, compute: latency] * cpus
     vec_mem = make_memory(cpus)
     vec = replay_traces(vec_mem, [list(t) for t in traces], compute_ns,
-                        stalls, backend="numpy")
+                        stalls)
     ref_mem = make_memory(cpus)
     ref = replay_traces(ref_mem, [list(t) for t in traces], compute_ns,
                         stalls, use_fast_path=False)
@@ -69,6 +78,10 @@ def regime_trace(rng, length, write_fraction):
         is_write = rng.random() < write_fraction
         trace.append((addr, _WRITE if is_write else _READ))
     return trace
+
+
+def left_vec(*args):
+    raise AssertionError("a single-CPU replay left the vectorized engine")
 
 
 class TestVecBackendEquivalence:
@@ -98,26 +111,23 @@ class TestVecBackendEquivalence:
         trace = random_trace(rng, 2000)
         stalls = [lambda latency, compute: latency]
         vec_mem = make_memory(1)
-        vec = replay_traces(vec_mem, [list(trace)], 5.0, stalls,
-                            backend="numpy")
+        vec = replay_traces(vec_mem, [list(trace)], 5.0, stalls)
         fast_mem = make_memory(1)
-        fast = replay_traces(fast_mem, [list(trace)], 5.0, stalls,
-                             backend="fast")
+        fast = _replay_fast_merged(fast_mem, [list(trace)], 5.0, stalls)
         assert vec == fast
         assert wide_counters(vec_mem) == wide_counters(fast_mem)
 
     def test_warm_cache_second_epoch_identical(self):
-        """Backend equivalence must hold from a *warm* (non-empty) state:
-        the lane seeding and TLB initial-recency paths only matter then."""
+        """Equivalence must hold from a *warm* (non-empty) state: the
+        lane seeding and TLB initial-recency paths only matter then."""
         rng = random.Random(21)
         warm = random_trace(rng, 1500)
         measured = random_trace(rng, 1500)
         stalls = [lambda latency, compute: latency]
         vec_mem = make_memory(1)
-        replay_traces(vec_mem, [list(warm)], 5.0, stalls, backend="numpy")
+        replay_traces(vec_mem, [list(warm)], 5.0, stalls)
         vec_mem.reset_timing()
-        vec = replay_traces(vec_mem, [list(measured)], 5.0, stalls,
-                            backend="numpy")
+        vec = replay_traces(vec_mem, [list(measured)], 5.0, stalls)
         ref_mem = make_memory(1)
         replay_traces(ref_mem, [list(warm)], 5.0, stalls,
                       use_fast_path=False)
@@ -128,36 +138,185 @@ class TestVecBackendEquivalence:
         assert wide_counters(vec_mem) == wide_counters(ref_mem)
 
     def test_array_traces_accepted_by_every_backend(self):
+        """The vectorized engine and the scalar loop both take array
+        traces and match the reference fed the same references as pairs."""
         rng = random.Random(3)
         trace = random_trace(rng, 800)
         arr = coerce_trace(list(trace))
         assert arr.dtype == REF_DTYPE
         stalls = [lambda latency, compute: latency]
-        results = {}
-        memories = {}
-        for backend in REPLAY_BACKENDS:
-            mem = make_memory(1)
-            results[backend] = replay_traces(mem, [arr], 5.0, stalls,
-                                             backend=backend)
-            memories[backend] = mem
         ref_mem = make_memory(1)
         ref = replay_traces(ref_mem, [list(trace)], 5.0, stalls,
                             use_fast_path=False)
-        for backend in REPLAY_BACKENDS:
-            assert results[backend] == ref
-            assert wide_counters(memories[backend]) == wide_counters(ref_mem)
-
-    def test_unknown_backend_rejected(self):
-        mem = make_memory(1)
-        with pytest.raises(ValueError, match="unknown replay backend"):
-            replay_traces(mem, [[(0, _READ)]], 5.0,
-                          [lambda latency, compute: latency],
-                          backend="cuda")
+        vec_mem = make_memory(1)
+        assert replay_traces(vec_mem, [arr], 5.0, stalls) == ref
+        assert wide_counters(vec_mem) == wide_counters(ref_mem)
+        loop_mem = make_memory(1)
+        assert _replay_fast_merged(loop_mem, [iter_refs(arr)], 5.0,
+                                   stalls) == ref
+        assert wide_counters(loop_mem) == wide_counters(ref_mem)
 
     def test_empty_trace(self):
         (vec, vec_mem), (ref, ref_mem) = run_pair(1, [[]])
         assert vec == ref
         assert wide_counters(vec_mem) == wide_counters(ref_mem)
+
+
+class TestVecStallArguments:
+    def test_constants_in_reference_grouping_then_bus_ops(self):
+        """The engine calls the stall model with its four fast constants —
+        TLB hit/miss x L1 hit/L2 refill, summed ``(translation +
+        l1_hit_ns) + l2_hit_ns`` as the reference does — and then with the
+        reference's bus-op latencies in access order.  A two-cycle TLB
+        miss at 180 MHz makes the grouping observable."""
+        rng = random.Random(6)
+        trace = random_trace(rng, 3000)
+        seen = []
+
+        def spy(latency, compute):
+            seen.append(latency)
+            return latency
+
+        memory = make_memory(1, tlb_miss_cycles=2.0)
+        replay_traces(memory, [trace], 5.0, [spy])
+
+        ref_mem = make_memory(1, tlb_miss_cycles=2.0)
+        outcomes = []
+        reference_access = ref_mem.access
+
+        def record(*args):
+            outcome = reference_access(*args)
+            outcomes.append(outcome)
+            return outcome
+
+        ref_mem.access = record
+        replay_traces(ref_mem, [trace], 5.0,
+                      [lambda latency, compute: latency],
+                      use_fast_path=False)
+        bus_ops = [o.latency_ns for o in outcomes
+                   if o.level is ServiceLevel.MEMORY]
+        assert len(bus_ops) == ref_mem.stats["memory_accesses"] > 0
+
+        config = memory.config
+        l1, l2, tlb = config.l1_hit_ns, config.l2_hit_ns, config.tlb_miss_ns
+        assert (tlb + l1) + l2 != tlb + (l1 + l2)
+        assert seen == [0.0 + l1, (0.0 + l1) + l2,
+                        tlb + l1, (tlb + l1) + l2] + bus_ops
+
+
+class TestFigureKernelsTakeVec:
+    """Single-CPU figure replays must never reach the scalar loop: a
+    silent fallback would keep results identical but lose the speed."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_scalar_paths(self, monkeypatch):
+        monkeypatch.setattr(mp, "_replay_fast_merged", left_vec)
+        monkeypatch.setattr(mp, "run_interleaved", left_vec)
+
+    @pytest.mark.parametrize("version,n,sample", [
+        ("naive", 12, None),
+        ("transposed", 12, None),
+        ("naive", 20, (2, 3)),
+        ("transposed", 20, (2, 3)),
+    ])
+    def test_run_matmult(self, version, n, sample):
+        from repro.bench.matmult import run_matmult
+        from repro.core.specs import POWERMANNA
+
+        result = run_matmult(POWERMANNA.node(scale=16), n, version=version,
+                             sample_rows=sample)
+        assert result.elapsed_ns > 0
+        assert result.sampled == (sample is not None)
+
+    def test_run_hint(self):
+        from repro.bench.hint import run_hint
+        from repro.core.specs import POWERMANNA
+
+        result = run_hint(POWERMANNA.node(scale=64), max_subintervals=512)
+        assert result.final_quips > 0
+
+
+class TestVecFallback:
+    """Where the engine declines, the scalar loop must still match the
+    reference exactly."""
+
+    def replay_after(self, monkeypatch, prepare):
+        """Run ``prepare`` on a fresh two-CPU node, then one single-CPU
+        replay, on the default path and on the reference.  Returns both
+        ``(result, counters)`` pairs and how often the default path
+        entered the scalar loop."""
+        rng = random.Random(8)
+        trace = random_trace(rng, 1500)
+        stalls = [lambda latency, compute: latency]
+        loop = mp._replay_fast_merged
+        scalar_calls = []
+
+        def spy(*args):
+            scalar_calls.append(args)
+            return loop(*args)
+
+        runs = []
+        for use_fast_path in (True, False):
+            memory = make_memory(2)
+            prepare(memory, use_fast_path)
+            memory.reset_timing()
+            assert not _supported(memory)
+            with monkeypatch.context() as patch:
+                patch.setattr(mp, "_replay_fast_merged", spy)
+                result = replay_traces(memory, [trace], 5.0, stalls,
+                                       use_fast_path=use_fast_path)
+            runs.append((result, wide_counters(memory)))
+        return runs, len(scalar_calls)
+
+    def test_warm_sibling_cpu(self, monkeypatch):
+        def prepare(memory, use_fast_path):
+            rng = random.Random(1)
+            replay_traces(memory, [private_trace(rng, 0),
+                                   private_trace(rng, 1)], 5.0,
+                          [lambda latency, compute: latency] * 2,
+                          use_fast_path=use_fast_path)
+
+        (fast, ref), scalar_calls = self.replay_after(monkeypatch, prepare)
+        assert scalar_calls == 1
+        assert fast == ref
+
+    def test_resident_shared_line(self, monkeypatch):
+        def prepare(memory, use_fast_path):
+            both_read = [(addr, _READ) for addr in range(0, 2048, 64)]
+            replay_traces(memory, [both_read, both_read], 5.0,
+                          [lambda latency, compute: latency] * 2,
+                          use_fast_path=use_fast_path)
+            # The sibling drops its copies silently: CPU 0 keeps its
+            # SHARED lines and is the only CPU holding any state.
+            memory.l1s[1].invalidate_all()
+            memory.l2s[1].invalidate_all()
+            assert any(int(state) == _SHARED
+                       for line_set in memory.l2s[0]._sets
+                       for state in line_set.values())
+
+        (fast, ref), scalar_calls = self.replay_after(monkeypatch, prepare)
+        assert scalar_calls == 1
+        assert fast == ref
+
+    def test_address_outside_int64_keeps_every_reference(self):
+        """A coercion that fails partway through a one-shot iterator must
+        still hand every reference to the scalar loop."""
+        def trace():
+            for i in range(100):
+                yield i * 64, _READ
+            yield 1 << 64, _READ
+            for i in range(100):
+                yield 8192 + i * 64, _WRITE
+
+        stalls = [lambda latency, compute: latency]
+        fast_mem = make_memory(1)
+        fast = replay_traces(fast_mem, [trace()], 5.0, stalls)
+        ref_mem = make_memory(1)
+        ref = replay_traces(ref_mem, [trace()], 5.0, stalls,
+                            use_fast_path=False)
+        assert fast[0].steps == 201
+        assert fast == ref
+        assert wide_counters(fast_mem) == wide_counters(ref_mem)
 
 
 class TestVecPrimitives:
