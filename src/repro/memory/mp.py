@@ -26,7 +26,8 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -375,8 +376,13 @@ def run_interleaved(memory: MultiprocessorMemory,
 # timing.  Array traces reach the loop through ``iter_refs``, ``_CHUNK``
 # references at a time.
 #
-# With observability enabled the reference path runs instead, so the
-# per-access metric stream is preserved exactly.
+# Under observability both engines also leave the metrics registry as the
+# reference leaves it.  ``fold_replay_counts`` turns their local counts
+# into the ``cache.*``/``tlb.*``/``coherence.bus_op`` series the reference
+# bumps one access at a time (accesses that fall through to
+# ``MultiprocessorMemory.access`` report their own), and
+# ``observe_latencies`` feeds ``mem.access_ns`` each level's latencies in
+# access order.
 
 _CHUNK = 1024
 
@@ -442,16 +448,17 @@ def replay_traces(memory: MultiprocessorMemory,
     private L1 hits and L1 misses refilled from the CPU's own E/M L2 line
     itself; only bus ops, SHARED lines and inclusion breaches reach
     :meth:`MultiprocessorMemory.access`.  Every path accepts structured
-    ``(addr, is_write)`` array traces as well as iterables, and
-    ``OBS.enabled`` forces the reference path so per-access metric
-    streams are preserved.
+    ``(addr, is_write)`` array traces as well as iterables.  Under
+    ``OBS`` the fast engines still run, and leave the same ``cache.*``,
+    ``tlb.*``, ``coherence.*`` and ``mem.access_ns`` series as the
+    reference, the latency samples in access order.
     """
     if len(traces) != len(stall_models):
         raise ValueError("need one stall model per trace")
     if len(traces) > memory.num_cpus:
         raise ValueError(
             f"{len(traces)} traces for a {memory.num_cpus}-CPU node")
-    if not use_fast_path or OBS.enabled:
+    if not use_fast_path:
         steps = [(TraceStep(compute_ns, addr, access)
                   for addr, access in iter_refs(t)) for t in traces]
         return run_interleaved(memory, steps, stall_models)
@@ -496,6 +503,11 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
     page_shift = memory.tlbs[0]._page_shift
     tlb_capacity = config.tlb.entries
     slow_access = memory.access
+    observed = OBS.enabled
+    latencies: Dict[ServiceLevel, List[float]] = {
+        level: [] for level in ServiceLevel}
+    l1_latencies = latencies[ServiceLevel.L1]
+    l2_latencies = latencies[ServiceLevel.L2]
 
     n = len(traces)
     other_l1s_by_cpu = [_other_l1s(memory, cpu) for cpu in range(n)]
@@ -567,8 +579,10 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
                 else:
                     line_set[tag] = state
                     c[3] += 1
-                stall_ns = stall_models[cpu](translation + l1_hit_ns,
-                                             compute_ns)
+                latency = translation + l1_hit_ns
+                if observed:
+                    l1_latencies.append(latency)
+                stall_ns = stall_models[cpu](latency, compute_ns)
             else:
                 # --- L1 miss refilled by a private (E/M) L2 hit ---------
                 if victim_tag >= 0:
@@ -591,11 +605,15 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
                 for sets, other in other_l1s_by_cpu[cpu]:
                     if tag in sets[tag & l1_mask]:
                         other.snoop_invalidate(addr)
-                stall_ns = stall_models[cpu](
-                    (translation + l1_hit_ns) + l2_hit_ns, compute_ns)
+                latency = (translation + l1_hit_ns) + l2_hit_ns
+                if observed:
+                    l2_latencies.append(latency)
+                stall_ns = stall_models[cpu](latency, compute_ns)
         else:
             # Bus op, SHARED line or inclusion breach: reference path.
             outcome = slow_access(cpu, issue, addr, access)
+            if observed:
+                latencies[outcome.level].append(outcome.latency_ns)
             stall_ns = stall_models[cpu](outcome.latency_ns, compute_ns)
             queueing_total[cpu] += outcome.queueing_ns
         now = issue + stall_ns
@@ -609,6 +627,8 @@ def _replay_fast_merged(memory: MultiprocessorMemory,
 
     for cpu in range(n):
         _flush_replay_counters(memory, cpu, counts[cpu])
+    if observed:
+        observe_latencies(memory, latencies)
     return [CpuRunResult(finish_ns=local[cpu], steps=steps[cpu],
                          compute_ns=compute_total[cpu],
                          stall_ns=stall_total[cpu],
@@ -630,21 +650,86 @@ def _flush_replay_counters(memory: MultiprocessorMemory, cpu: int,
     (tlb_hits, tlb_misses, tlb_evictions, read_hits, write_hits, upgrades,
      read_misses, write_misses, writebacks, clean_evicts) = counts
     refills = read_misses + write_misses
-    _add_counts(memory.tlbs[cpu].stats, hits=tlb_hits, misses=tlb_misses,
-                evictions=tlb_evictions)
-    _add_counts(memory.l1s[cpu].stats, read_hit=read_hits,
-                write_hit=write_hits, upgrade=upgrades,
-                read_miss=read_misses, write_miss=write_misses,
-                writeback=writebacks, clean_evict=clean_evicts)
-    _add_counts(memory.l2s[cpu].stats,
-                write_hit=write_hits + write_misses + writebacks,
-                read_hit=read_misses)
-    _add_counts(memory.domain.stats, hit=refills)
-    _add_counts(memory.stats, tlb_misses=tlb_misses,
-                l1_hits=read_hits + write_hits, l2_hits=refills)
+    fold_replay_counts(
+        memory, cpu,
+        tlb={"hits": tlb_hits, "misses": tlb_misses,
+             "evictions": tlb_evictions},
+        l1={"read_hit": read_hits, "write_hit": write_hits,
+            "upgrade": upgrades, "read_miss": read_misses,
+            "write_miss": write_misses, "writeback": writebacks,
+            "clean_evict": clean_evicts},
+        l2={"write_hit": write_hits + write_misses + writebacks,
+            "read_hit": read_misses},
+        domain={"hit": refills},
+        node={"tlb_misses": tlb_misses, "l1_hits": read_hits + write_hits,
+              "l2_hits": refills},
+        bus_ops={})
 
 
-def _add_counts(counter: Counter, **amounts: int) -> None:
+#: Cache and TLB stats keys the reference path also reports as labelled
+#: metrics under OBS (``Cache.access``, ``Tlb.access``): key -> (metric,
+#: labels beyond the structure's own).
+_CACHE_SERIES = {
+    "read_hit": ("cache.hit", {"op": "read"}),
+    "write_hit": ("cache.hit", {"op": "write"}),
+    "read_miss": ("cache.miss", {"op": "read"}),
+    "write_miss": ("cache.miss", {"op": "write"}),
+    "writeback": ("cache.writeback", {}),
+}
+_TLB_SERIES = {"hits": "tlb.hit", "misses": "tlb.miss"}
+
+
+def fold_replay_counts(memory: MultiprocessorMemory, cpu: int,
+                       tlb: Mapping[str, int], l1: Mapping[str, int],
+                       l2: Mapping[str, int], domain: Mapping[str, int],
+                       node: Mapping[str, int],
+                       bus_ops: Mapping[BusOp, int]) -> None:
+    """Fold a fast engine's counts for one CPU into the node's stats.
+
+    Each mapping holds stats-key amounts for that CPU's TLB, L1, L2, the
+    coherence domain and the node.  ``bus_ops`` counts the engine's own
+    memory fetches per bus op; they are domain misses.  Under OBS the
+    same amounts also go to the series the reference path feeds one
+    access at a time: ``cache.*``, ``tlb.*`` and ``coherence.bus_op``.
+    A zero amount touches nothing, so no series appears that the
+    reference would not create.
+    """
+    caches = ((memory.l1s[cpu], l1), (memory.l2s[cpu], l2))
+    for cache, amounts in caches:
+        _add_counts(cache.stats, amounts)
+    _add_counts(memory.tlbs[cpu].stats, tlb)
+    _add_counts(memory.domain.stats,
+                {**domain, "miss": sum(bus_ops.values())})
+    _add_counts(memory.stats, node)
+    if not OBS.enabled:
+        return
+    metrics = OBS.metrics
+    for cache, amounts in caches:
+        for key, (metric, labels) in _CACHE_SERIES.items():
+            if amounts.get(key):
+                metrics.incr(metric, amounts[key], cache=cache.name,
+                             level=cache.level, **labels)
+    for key, metric in _TLB_SERIES.items():
+        if tlb.get(key):
+            metrics.incr(metric, tlb[key], tlb=memory.tlbs[cpu].name)
+    for op, amount in bus_ops.items():
+        if amount:
+            metrics.incr("coherence.bus_op", amount, op=op.value, cpu=cpu)
+
+
+def observe_latencies(memory: MultiprocessorMemory,
+                      latencies: Mapping[ServiceLevel, List[float]],
+                      ) -> None:
+    """Feed each level's access latencies, in access order, to the
+    ``mem.access_ns`` series the reference observes per access."""
+    for level, samples in latencies.items():
+        if samples:
+            OBS.metrics.histogram(
+                "mem.access_ns", node=memory.name,
+                level=level.name.lower()).hist.extend(samples)
+
+
+def _add_counts(counter: Counter, amounts: Mapping[str, int]) -> None:
     for key, amount in amounts.items():
         if amount:
             counter.incr(key, amount)

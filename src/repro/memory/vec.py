@@ -51,6 +51,12 @@ its own whole-trace oracle:
   objects between cumsum segments.  The sums run through one small
   scratch buffer, so no whole-trace float array is built for them.
 
+Under ``OBS`` the commit also records what the reference records one
+access at a time: the labelled ``cache.*``/``tlb.*``/``coherence.bus_op``
+counts, folded in whole, and every access's latency in
+``mem.access_ns``, taken from the four fast constants and the scalar
+pass's fetch latencies, in access order per level.
+
 The engine declines (returns ``None``) whenever its preconditions do
 not hold: SHARED lines resident anywhere in the active CPU's caches,
 non-empty caches on the other CPUs, or an address outside int64 or
@@ -72,6 +78,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.memory.cache import AccessType, MESIState
+from repro.memory.hierarchy import ServiceLevel
+from repro.memory.mesi import BusOp
+from repro.obs import OBS
 
 #: Structured dtype of an array-native trace (see repro.memory.trace_gen).
 REF_DTYPE = np.dtype([("addr", np.int64), ("is_write", np.bool_)])
@@ -665,7 +674,7 @@ def _accumulate(start: float, columns, buf: np.ndarray) -> float:
 
 
 def _finish(job: _Job):
-    from repro.memory.mp import CpuRunResult
+    from repro.memory.mp import CpuRunResult, observe_latencies
 
     memory = job.memory
     config = memory.config
@@ -681,18 +690,19 @@ def _finish(job: _Job):
     # Refills that miss L2 fetch from memory; only they run scalar.
     refills = np.nonzero(job.op_refill)[0]
     fetches = refills[~job.op_hit[refills]]
-    fetch_pos = job.op_src[fetches].tolist()
+    fetch_src = job.op_src[fetches]
+    fetch_pos = fetch_src.tolist()
     victim_dirty = job.op_vdirty[fetches] & (job.op_vtag[fetches] >= 0)
     victim_tag = np.where(victim_dirty, job.op_vtag[fetches], -1).tolist()
 
     l1_hit, tlb_miss = job.l1_hit, job.tlb_miss
-    # The four fast stall constants, argument grouping per the reference.
-    stall_consts = np.array([
-        stall(0.0 + l1_hit_ns, compute_ns),
-        stall((0.0 + l1_hit_ns) + l2_hit_ns, compute_ns),
-        stall(tlb_miss_ns + l1_hit_ns, compute_ns),
-        stall((tlb_miss_ns + l1_hit_ns) + l2_hit_ns, compute_ns),
-    ])
+    # The four fast latencies (TLB hit/miss x L1 hit/L2 refill), argument
+    # grouping per the reference, and their stalls.
+    latency_consts = [0.0 + l1_hit_ns, (0.0 + l1_hit_ns) + l2_hit_ns,
+                      tlb_miss_ns + l1_hit_ns,
+                      (tlb_miss_ns + l1_hit_ns) + l2_hit_ns]
+    stall_consts = np.array([stall(latency, compute_ns)
+                             for latency in latency_consts])
     key = (tlb_miss.view(np.uint8) << 1) | (~l1_hit).view(np.uint8)
     stall_arr = stall_consts[key]
 
@@ -703,6 +713,7 @@ def _finish(job: _Job):
     addr_col = job.addr
     local = 0.0
     queueing_total = 0.0
+    fetch_latencies = []
     seg_start = 0
     for si, wb_tag in zip(fetch_pos, victim_tag):
         local = _accumulate(local, (compute_col[seg_start:si],
@@ -719,6 +730,7 @@ def _finish(job: _Job):
         latency += done - phase_done
         if wb_tag >= 0:
             memory_fetch(phase_done, wb_tag << l2_shift, line)
+        fetch_latencies.append(latency)
         stall_ns = stall(latency, compute_ns)
         stall_arr[si] = stall_ns
         local = issue + stall_ns
@@ -727,20 +739,35 @@ def _finish(job: _Job):
     local = _accumulate(local, (compute_col[seg_start:],
                                 stall_arr[seg_start:]), buf)
 
-    _commit(job, len(refills) - len(fetches), len(fetches),
+    fetch_writes = int(np.count_nonzero(job.is_write[fetch_src]))
+    _commit(job, len(refills) - len(fetches),
+            {BusOp.READ: len(fetches) - fetch_writes,
+             BusOp.READ_EXCLUSIVE: fetch_writes},
             int(np.count_nonzero(victim_dirty)))
+    if OBS.enabled:
+        # Every access's latency, level by level in access order: the
+        # fast constants by ``key``, the fetches as computed above.
+        latency_arr = np.array(latency_consts)[key]
+        refilled = ~l1_hit
+        refilled[fetch_src] = False
+        observe_latencies(memory, {
+            ServiceLevel.L1: latency_arr[l1_hit].tolist(),
+            ServiceLevel.L2: latency_arr[refilled].tolist(),
+            ServiceLevel.MEMORY: fetch_latencies})
     return CpuRunResult(finish_ns=local, steps=n,
                         compute_ns=_accumulate(0.0, (compute_col,), buf),
                         stall_ns=_accumulate(0.0, (stall_arr,), buf),
                         queueing_ns=queueing_total)
 
 
-def _commit(job: _Job, l2_refills: int, fetches: int,
+def _commit(job: _Job, l2_refills: int, bus_ops: Dict[BusOp, int],
             writebacks: int) -> None:
     """Fold the oracle outcomes into the real caches and counters, with
     the same per-key attribution as the scalar routes.  ``l2_refills``
-    L1 misses hit L2, ``fetches`` went to memory and ``writebacks`` of
-    those pushed a dirty L2 victim."""
+    L1 misses hit L2, ``bus_ops`` counts the fetches from memory per bus
+    op and ``writebacks`` of those pushed a dirty L2 victim."""
+    from repro.memory.mp import fold_replay_counts
+
     memory = job.memory
     l1, l2, tlb = memory.l1s[0], memory.l2s[0], memory.tlbs[0]
     is_write, l1_hit = job.is_write, job.l1_hit
@@ -751,36 +778,29 @@ def _commit(job: _Job, l2_refills: int, fetches: int,
     def count(mask) -> int:
         return int(np.count_nonzero(mask))
 
-    def incr(counter, key, value) -> None:
-        if value:
-            counter.incr(key, value)
-
-    incr(l1.stats, "read_hit", count(l1_hit & ~is_write))
-    incr(l1.stats, "write_hit", count(l1_hit & is_write))
-    incr(l1.stats, "read_miss", count(~l1_hit & ~is_write))
-    incr(l1.stats, "write_miss", count(~l1_hit & is_write))
-    incr(l1.stats, "writeback", count(vdirty))
-    incr(l1.stats, "clean_evict", count((vtag >= 0) & ~vdirty))
-
-    incr(l2.stats, "read_hit", count(op_hit & ~op_write))
-    incr(l2.stats, "write_hit", count(op_hit & op_write))
-    incr(l2.stats, "read_miss", count(~op_hit & ~op_write))
-    incr(l2.stats, "write_miss", count(~op_hit & op_write))
-    incr(l2.stats, "writeback", count((op_vtag >= 0) & op_vdirty))
-    incr(l2.stats, "clean_evict", count((op_vtag >= 0) & ~op_vdirty))
-
     tlb_misses = count(job.tlb_miss)
-    incr(tlb.stats, "hits", job.n - tlb_misses)
-    incr(tlb.stats, "misses", tlb_misses)
-    incr(tlb.stats, "evictions", job.tlb_evictions)
-
-    incr(memory.domain.stats, "hit", l2_refills)
-    incr(memory.domain.stats, "miss", fetches)
-    incr(memory.stats, "l1_hits", count(l1_hit))
-    incr(memory.stats, "tlb_misses", tlb_misses)
-    incr(memory.stats, "l2_hits", l2_refills)
-    incr(memory.stats, "memory_accesses", fetches)
-    incr(memory.stats, "writebacks", writebacks)
+    fold_replay_counts(
+        memory, 0,
+        tlb={"hits": job.n - tlb_misses, "misses": tlb_misses,
+             "evictions": job.tlb_evictions},
+        l1={"read_hit": count(l1_hit & ~is_write),
+            "write_hit": count(l1_hit & is_write),
+            "read_miss": count(~l1_hit & ~is_write),
+            "write_miss": count(~l1_hit & is_write),
+            "writeback": count(vdirty),
+            "clean_evict": count((vtag >= 0) & ~vdirty)},
+        l2={"read_hit": count(op_hit & ~op_write),
+            "write_hit": count(op_hit & op_write),
+            "read_miss": count(~op_hit & ~op_write),
+            "write_miss": count(~op_hit & op_write),
+            "writeback": count((op_vtag >= 0) & op_vdirty),
+            "clean_evict": count((op_vtag >= 0) & ~op_vdirty)},
+        domain={"hit": l2_refills},
+        node={"l1_hits": count(l1_hit), "tlb_misses": tlb_misses,
+              "l2_hits": l2_refills,
+              "memory_accesses": sum(bus_ops.values()),
+              "writebacks": writebacks},
+        bus_ops=bus_ops)
 
     for cache, finals in ((l1, job.l1_final), (l2, job.l2_final)):
         for s, state in finals.items():

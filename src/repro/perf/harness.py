@@ -12,6 +12,9 @@ has to beat:
   caches scaled 1/16) on one CPU: the vectorized replay engine.
 * ``replay_batch_vec`` — many independent sweep-point replays stacked
   into single packed lockstep passes via ``vec.replay_batch``.
+* ``fig7_observed`` — the same naive MatMult at N=144 (the TLB-thrash
+  regime of Figure 7, one sampled row) inside ``observe()``: observed
+  replays run on the fast engines, so this stays near ``fig7_matmult``.
 * ``fig8_smp`` — naive MatMult (N=24, caches scaled 1/16) on one and on
   both PowerMANNA CPUs: the merged multi-CPU replay behind Figure 8.
 * ``fig9_pingpong`` — one-way latency ping-pongs over the full DES stack
@@ -106,6 +109,27 @@ def _kernel_fig7_matmult() -> Tuple[int, str, float]:
     return accesses, "accesses", result.mflops
 
 
+def _kernel_fig7_observed() -> Tuple[int, str, float]:
+    """Naive MatMult in the TLB-thrash regime under observation; the check
+    is the product phase's TLB miss rate read from the labelled series."""
+    from repro.bench.matmult import run_matmult
+    from repro.core.specs import POWERMANNA
+    from repro.obs import observe
+
+    with observe() as session:
+        run_matmult(POWERMANNA.node(scale=16), 144, version="naive",
+                    sample_rows=(1, 1), machine_key="powermanna")
+    metrics = session.metrics
+
+    def product(name: str) -> int:
+        return sum(inst.value for inst in metrics.series(name)
+                   if ("phase", "product") in inst.labels)
+
+    misses = product("tlb.miss")
+    samples = sum(inst.value for inst in metrics.series("mem.access_ns"))
+    return samples, "accesses", misses / (misses + product("tlb.hit"))
+
+
 def _kernel_replay_batch_vec() -> Tuple[int, str, float]:
     """Batched multi-point replay: several independent MatMult points
     (one isolated memory each, as under ``run_sweep``) through one
@@ -184,6 +208,7 @@ def _kernel_topo_hypercube_1k() -> Tuple[int, str, float]:
 KERNELS: Dict[str, Callable[[], Tuple[int, str, float]]] = {
     "fig6_hint": _kernel_fig6_hint,
     "fig7_matmult": _kernel_fig7_matmult,
+    "fig7_observed": _kernel_fig7_observed,
     "replay_batch_vec": _kernel_replay_batch_vec,
     "fig8_smp": _kernel_fig8_smp,
     "fig9_pingpong": _kernel_fig9_pingpong,

@@ -140,8 +140,12 @@ class Histogram:
     samples per histogram, so exact storage is fine and keeps the quantile
     semantics simple.  For the interleaved add/read pattern of live
     observability exporters — where exact :meth:`quantile` would re-sort
-    per read — :meth:`p50`/:meth:`p99` are maintained incrementally by P²
-    estimators, and :meth:`summary` packages the O(1) statistics.
+    per read — :meth:`p50`/:meth:`p99` come from P² estimators, and
+    :meth:`summary` packages the O(1) statistics.  The estimators catch up
+    lazily: a read that needs a P² value first feeds them the samples
+    they have not seen yet, in arrival order, so every value equals what
+    feeding them on each ``add`` would give, and a histogram that is only
+    ever read sorted never feeds them at all.
     """
 
     # Below this size exact quantiles are cheaper than estimator error.
@@ -157,6 +161,7 @@ class Histogram:
         self._p2_p50 = P2Quantile(0.5)
         self._p2_p99 = P2Quantile(0.99)
         self._p2_p999 = P2Quantile(0.999)
+        self._p2_fed = 0  # leading samples the estimators have seen
 
     def add(self, value: float) -> None:
         if self._samples and value < self._samples[-1]:
@@ -167,9 +172,31 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
-        self._p2_p50.add(value)
-        self._p2_p99.add(value)
-        self._p2_p999.add(value)
+
+    def extend(self, values: Iterable[float]) -> None:
+        """:meth:`add` every value in turn, with the same result bit for
+        bit (the running sum is accumulated sequentially)."""
+        values = list(values)
+        if not values:
+            return
+        if self._sorted:
+            chain = self._samples[-1:] + values
+            self._sorted = not any(b < a for a, b in zip(chain, chain[1:]))
+        self._samples.extend(values)
+        total = self._sum
+        for value in values:
+            total += value
+        self._sum = total
+        self._min = min(self._min, min(values))
+        self._max = max(self._max, max(values))
+
+    def _p2_catch_up(self) -> None:
+        """Feed the P² estimators every sample they have not seen yet."""
+        fresh = self._samples[self._p2_fed:]
+        for estimator in (self._p2_p50, self._p2_p99, self._p2_p999):
+            for value in fresh:
+                estimator.add(value)
+        self._p2_fed = len(self._samples)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -184,6 +211,8 @@ class Histogram:
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
+            # Sorting loses the arrival order the estimators must see.
+            self._p2_catch_up()
             self._samples.sort()
             self._sorted = True
 
@@ -229,6 +258,7 @@ class Histogram:
         """Exact when cheap (already sorted, or few samples); P² otherwise."""
         if self._sorted or len(self._samples) <= self.P2_EXACT_LIMIT:
             return self.quantile(q)
+        self._p2_catch_up()
         return estimator.value()
 
     def p50(self) -> float:
@@ -251,8 +281,8 @@ class Histogram:
         count/mean/min/max and exact quantiles depend only on the final
         sample *multiset* — merging in any order or grouping produces the
         same statistics (the property the parallel sweep merge relies on).
-        The P² estimators are re-fed the sorted samples so later
-        incremental reads stay consistent.
+        The P² estimators restart from the sorted samples, which they are
+        fed only if a later read needs them.
         """
         incoming = list(samples)
         if not incoming:
@@ -267,10 +297,7 @@ class Histogram:
         self._p2_p50 = P2Quantile(0.5)
         self._p2_p99 = P2Quantile(0.99)
         self._p2_p999 = P2Quantile(0.999)
-        for value in combined:
-            self._p2_p50.add(value)
-            self._p2_p99.add(value)
-            self._p2_p999.add(value)
+        self._p2_fed = 0
 
     def summary(self) -> Dict[str, float]:
         """The exporter-facing digest; never sorts past P2_EXACT_LIMIT."""
@@ -280,12 +307,9 @@ class Histogram:
             "mean": self.mean(),
             "min": self.minimum(),
             "max": self.maximum(),
-            "p50": self.quantile(0.5) if self._sorted or n <= self.P2_EXACT_LIMIT
-            else self._p2_p50.value(),
-            "p99": self.quantile(0.99) if self._sorted or n <= self.P2_EXACT_LIMIT
-            else self._p2_p99.value(),
-            "p999": self.quantile(0.999) if self._sorted or n <= self.P2_EXACT_LIMIT
-            else self._p2_p999.value(),
+            "p50": self.p50(),
+            "p99": self.p99(),
+            "p999": self.p999(),
         }
 
 

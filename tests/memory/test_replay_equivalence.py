@@ -17,9 +17,11 @@ inlined-trigger engine fast paths cannot perturb the instrumented path.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
+from repro.memory import mp
 from repro.memory.cache import AccessType, CacheGeometry
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import HierarchyConfig
@@ -32,6 +34,7 @@ from repro.memory.mp import (
 )
 from repro.memory.snoop import SnoopConfig
 from repro.memory.tlb import TlbConfig
+from repro.obs import observe
 from repro.sim.clock import Clock
 
 
@@ -240,28 +243,37 @@ class TestReplayFastPathEquivalence:
         assert "c2c_transfers" not in ref_counts["mem"]
 
     @pytest.mark.parametrize("cpus", [2, 4])
-    def test_only_bus_ops_reach_the_reference_access(self, cpus):
+    def test_only_bus_ops_reach_the_reference_access(self, cpus,
+                                                     monkeypatch):
         """Private refills stay in the replay loop: the per-access
-        reference ``MultiprocessorMemory.access`` sees bus ops only."""
-        rng = random.Random(0)
-        traces = [private_trace(rng, cpu) for cpu in range(cpus)]
-        memory = make_memory(cpus)
-        calls = []
-        reference_access = memory.access
+        reference ``MultiprocessorMemory.access`` sees bus ops only,
+        observed or not, and observation does not send the replay to
+        ``run_interleaved``."""
+        def forbidden(*args):
+            raise AssertionError("the replay took the reference path")
 
-        def spy(*args):
-            calls.append(args)
-            return reference_access(*args)
+        monkeypatch.setattr(mp, "run_interleaved", forbidden)
+        for observed in (False, True):
+            rng = random.Random(0)
+            traces = [private_trace(rng, cpu) for cpu in range(cpus)]
+            memory = make_memory(cpus)
+            calls = []
+            reference_access = memory.access
 
-        memory.access = spy
-        replay_traces(memory, traces, 5.0,
-                      [lambda latency, compute: latency] * cpus)
-        stats = memory.stats
-        bus_ops = (stats["memory_accesses"] + stats["upgrades"]
-                   + stats["c2c_transfers"])
-        assert bus_ops > 0
-        assert stats["l2_hits"] > bus_ops
-        assert len(calls) == bus_ops
+            def spy(*args):
+                calls.append(args)
+                return reference_access(*args)
+
+            memory.access = spy
+            with observe() if observed else nullcontext():
+                replay_traces(memory, traces, 5.0,
+                              [lambda latency, compute: latency] * cpus)
+            stats = memory.stats
+            bus_ops = (stats["memory_accesses"] + stats["upgrades"]
+                       + stats["c2c_transfers"])
+            assert bus_ops > 0
+            assert stats["l2_hits"] > bus_ops
+            assert len(calls) == bus_ops
 
 
 class TestFig9MetricsSnapshotDeterminism:

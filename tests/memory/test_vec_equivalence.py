@@ -10,8 +10,10 @@ pins that over randomized traces spanning every replay regime (L1-hit
 runs, write fractions from read-only to write-heavy, TLB churn and
 L2-thrashing spans), mirroring ``test_replay_equivalence.py``.  Further
 groups pin the stall arguments the engine passes, that the figure
-kernels really take it, and that its fallback to the scalar loop (warm
-sibling CPU, SHARED line, address outside int64) stays identical too.
+kernels really take it, observed or not, that its fallback to the
+scalar loop (warm sibling CPU, SHARED line, address outside int64)
+stays identical too, and that an observed replay leaves the metrics
+registry exactly as the reference leaves it.
 """
 
 import random
@@ -26,6 +28,7 @@ from repro.memory.cache import AccessType
 from repro.memory.hierarchy import ServiceLevel
 from repro.memory.mp import _replay_fast_merged, iter_refs, replay_traces
 from repro.memory.vec import REF_DTYPE, _SHARED, _supported, coerce_trace
+from repro.obs import observe
 
 from .test_replay_equivalence import (
     counters,
@@ -82,6 +85,39 @@ def regime_trace(rng, length, write_fraction):
 
 def left_vec(*args):
     raise AssertionError("a single-CPU replay left the vectorized engine")
+
+
+def latency_stalls(cpus):
+    return [lambda latency, compute: latency] * cpus
+
+
+def warm_sibling(memory, use_fast_path):
+    """Both CPUs replay private streams: CPU 1 is left warm."""
+    rng = random.Random(1)
+    replay_traces(memory, [private_trace(rng, 0), private_trace(rng, 1)],
+                  5.0, latency_stalls(2), use_fast_path=use_fast_path)
+
+
+def shared_lines(memory, use_fast_path):
+    """CPU 0 keeps SHARED lines and is the only CPU holding any state."""
+    both_read = [(addr, _READ) for addr in range(0, 2048, 64)]
+    replay_traces(memory, [both_read, both_read], 5.0, latency_stalls(2),
+                  use_fast_path=use_fast_path)
+    # The sibling drops its copies silently.
+    memory.l1s[1].invalidate_all()
+    memory.l2s[1].invalidate_all()
+    assert any(int(state) == _SHARED
+               for line_set in memory.l2s[0]._sets
+               for state in line_set.values())
+
+
+def beyond_int64():
+    """A one-shot stream with an address the vectorized engine refuses."""
+    for i in range(100):
+        yield i * 64, _READ
+    yield 1 << 64, _READ
+    for i in range(100):
+        yield 8192 + i * 64, _WRITE
 
 
 class TestVecBackendEquivalence:
@@ -236,6 +272,19 @@ class TestFigureKernelsTakeVec:
         assert result.final_quips > 0
 
 
+class TestObservedFigureKernelsTakeVec(TestFigureKernelsTakeVec):
+    """The same kernels inside ``observe()``: observation must not change
+    which engine runs."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_scalar_paths(self, monkeypatch):
+        monkeypatch.setattr(mp, "_replay_fast_merged", left_vec)
+        monkeypatch.setattr(mp, "run_interleaved", left_vec)
+        with observe() as session:
+            yield
+        assert session.metrics.series("mem.access_ns")
+
+
 class TestVecFallback:
     """Where the engine declines, the scalar loop must still match the
     reference exactly."""
@@ -269,54 +318,100 @@ class TestVecFallback:
         return runs, len(scalar_calls)
 
     def test_warm_sibling_cpu(self, monkeypatch):
-        def prepare(memory, use_fast_path):
-            rng = random.Random(1)
-            replay_traces(memory, [private_trace(rng, 0),
-                                   private_trace(rng, 1)], 5.0,
-                          [lambda latency, compute: latency] * 2,
-                          use_fast_path=use_fast_path)
-
-        (fast, ref), scalar_calls = self.replay_after(monkeypatch, prepare)
+        (fast, ref), scalar_calls = self.replay_after(monkeypatch,
+                                                      warm_sibling)
         assert scalar_calls == 1
         assert fast == ref
 
     def test_resident_shared_line(self, monkeypatch):
-        def prepare(memory, use_fast_path):
-            both_read = [(addr, _READ) for addr in range(0, 2048, 64)]
-            replay_traces(memory, [both_read, both_read], 5.0,
-                          [lambda latency, compute: latency] * 2,
-                          use_fast_path=use_fast_path)
-            # The sibling drops its copies silently: CPU 0 keeps its
-            # SHARED lines and is the only CPU holding any state.
-            memory.l1s[1].invalidate_all()
-            memory.l2s[1].invalidate_all()
-            assert any(int(state) == _SHARED
-                       for line_set in memory.l2s[0]._sets
-                       for state in line_set.values())
-
-        (fast, ref), scalar_calls = self.replay_after(monkeypatch, prepare)
+        (fast, ref), scalar_calls = self.replay_after(monkeypatch,
+                                                      shared_lines)
         assert scalar_calls == 1
         assert fast == ref
 
     def test_address_outside_int64_keeps_every_reference(self):
         """A coercion that fails partway through a one-shot iterator must
         still hand every reference to the scalar loop."""
-        def trace():
-            for i in range(100):
-                yield i * 64, _READ
-            yield 1 << 64, _READ
-            for i in range(100):
-                yield 8192 + i * 64, _WRITE
-
-        stalls = [lambda latency, compute: latency]
+        stalls = latency_stalls(1)
         fast_mem = make_memory(1)
-        fast = replay_traces(fast_mem, [trace()], 5.0, stalls)
+        fast = replay_traces(fast_mem, [beyond_int64()], 5.0, stalls)
         ref_mem = make_memory(1)
-        ref = replay_traces(ref_mem, [trace()], 5.0, stalls,
+        ref = replay_traces(ref_mem, [beyond_int64()], 5.0, stalls,
                             use_fast_path=False)
         assert fast[0].steps == 201
         assert fast == ref
         assert wide_counters(fast_mem) == wide_counters(ref_mem)
+
+
+def observed_registry(cpus, traces, use_fast_path, prepare=None):
+    """One replay inside ``observe()`` and a cell label scope, after
+    ``prepare(memory, use_fast_path)``; returns the replay results and
+    the registry."""
+    memory = make_memory(cpus)
+    with observe() as session, session.metrics.label_scope(cell="c0"):
+        if prepare is not None:
+            prepare(memory, use_fast_path)
+            memory.reset_timing()
+        results = replay_traces(memory, [t() for t in traces], 5.0,
+                                latency_stalls(len(traces)),
+                                use_fast_path=use_fast_path)
+    return results, session.metrics
+
+
+class TestObservedReplayEquivalence:
+    """Under ``observe()`` the fast engines run, and must leave the
+    metrics registry exactly as the reference does: the same series
+    with the same counts, and every ``mem.access_ns`` series with the
+    same samples in the same order — so its sum, extremes and P²
+    quantile estimates agree bit for bit too."""
+
+    def assert_same_registry(self, cpus, traces, prepare=None):
+        fast, fast_reg = observed_registry(cpus, traces, True, prepare)
+        ref, ref_reg = observed_registry(cpus, traces, False, prepare)
+        assert fast == ref
+        assert fast_reg.encode() == ref_reg.encode()
+        fast_hists = fast_reg.series("mem.access_ns")
+        ref_hists = ref_reg.series("mem.access_ns")
+        assert (sorted(h.labels for h in fast_hists)
+                == sorted(h.labels for h in ref_hists))
+        ref_by_labels = {h.labels: h.hist for h in ref_hists}
+        estimated = 0
+        for metric in fast_hists:
+            got, want = metric.hist, ref_by_labels[metric.labels]
+            assert ("cell", "c0") in metric.labels
+            assert got.samples() == want.samples()
+            assert got._sum == want._sum
+            assert got.minimum() == want.minimum()
+            assert got.maximum() == want.maximum()
+            if not got._sorted and len(got) > got.P2_EXACT_LIMIT:
+                estimated += 1
+            assert ((got.p50(), got.p99(), got.p999())
+                    == (want.p50(), want.p99(), want.p999()))
+        return estimated
+
+    @pytest.mark.parametrize("cpus,seed", [(1, 0), (1, 7), (2, 3), (4, 4)])
+    def test_random_traces(self, cpus, seed):
+        rng = random.Random(seed)
+        traces = [random_trace(rng, 1500) for _ in range(cpus)]
+        estimated = self.assert_same_registry(
+            cpus, [lambda t=t: list(t) for t in traces])
+        assert estimated > 0  # the P² estimators were compared too
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_private_regions(self, cpus):
+        rng = random.Random(5)
+        traces = [private_trace(rng, cpu) for cpu in range(cpus)]
+        self.assert_same_registry(cpus,
+                                  [lambda t=t: list(t) for t in traces])
+
+    @pytest.mark.parametrize("prepare", [warm_sibling, shared_lines])
+    def test_vec_fallbacks(self, prepare):
+        rng = random.Random(8)
+        trace = random_trace(rng, 1500)
+        self.assert_same_registry(2, [lambda: list(trace)], prepare)
+
+    def test_address_outside_int64(self):
+        self.assert_same_registry(1, [beyond_int64])
 
 
 class TestVecPrimitives:
