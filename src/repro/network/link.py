@@ -17,7 +17,7 @@ from repro.faults import FAULTS
 from repro.network.message import Flit, FlitKind
 from repro.obs import OBS
 from repro.sim.clock import Clock
-from repro.sim.engine import Event, SimulationError, Simulator, _heappush
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import FifoStore
 from repro.sim.stats import Counter
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -86,8 +86,7 @@ class ByteFifo:
             # double-trigger check cannot fire.
             event._triggered = True
             event._value = flit
-            sim = self.sim
-            _heappush(sim._queue, (sim._now, next(sim._tiebreak), event))
+            self.sim._lane.append(event)
             getters = self._getters
             if getters:
                 gev = getters.popleft()
@@ -120,8 +119,7 @@ class ByteFifo:
             self.total_bytes_out += flit.nbytes
             event._triggered = True
             event._value = flit
-            sim = self.sim
-            _heappush(sim._queue, (sim._now, next(sim._tiebreak), event))
+            self.sim._lane.append(event)
             if self._putters:
                 self._settle()
             return event

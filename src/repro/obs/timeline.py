@@ -277,7 +277,7 @@ class Timeline:
             sampler.add("des.event_pool",
                         lambda: float(len(sim._timeout_pool)), {})
             sampler.add("des.pending_events",
-                        lambda: float(len(sim._queue)), {})
+                        lambda: float(sim.pending_events()), {})
         return sampler
 
     def probe(self, sim, name: str, fn: Callable[[], float],

@@ -5,13 +5,32 @@ library convert cycles to nanoseconds through :class:`repro.sim.clock.Clock`
 so that components in different clock domains (180 MHz CPUs, 60 MHz links)
 compose on one timeline.
 
+The pending events live in two queues.  The *lane* is a FIFO
+(``deque``) of the events due at the current time, in the order they
+were scheduled; the *heap* holds ``(time, tiebreak, event)`` entries
+for later times only.  Triggering an event, or a timeout whose
+``now + delay`` equals ``now``, appends to the lane: no tiebreak, no
+heap push.  The run loops pop the lane first; when it is empty they pop
+the heap, advance the clock, and move every other heap entry due at that
+same time into the lane, in heap order, before running any callback.
+
+This processes events in exactly the order of a single heap keyed by
+``(time, tiebreak)``.  The invariant is that the lane holds exactly the
+events due at ``now``, in tiebreak order, and the heap only later ones:
+a heap entry due at ``now`` was pushed before the clock reached ``now``
+and so precedes every event scheduled at ``now``, and each event
+scheduled at ``now`` follows every event already pending.  Most events
+in a flit-level network run are scheduled for the current time (FIFO
+puts and gets, process starts), so the lane spares the heap most of its
+pushes and pops.
+
 The event loop is the hot path of every network figure, so the kernel
-keeps allocation off the per-event path where it can: the run loops pop
-the heap inline, events with a single waiter (the dominant case — one
-process blocked on one FIFO slot or timeout) dispatch without building a
-fresh callback list, and the link/crossbar/driver processes draw their
-delays from a :meth:`Simulator.pooled_timeout` free list instead of
-allocating a new :class:`Timeout` per flit.
+also keeps allocation off the per-event path where it can: events with a
+single waiter (the dominant case — one process blocked on one FIFO slot
+or timeout) dispatch without building a fresh callback list, and the
+link/crossbar/driver processes draw their delays from a
+:meth:`Simulator.pooled_timeout` free list instead of allocating a new
+:class:`Timeout` per flit.
 """
 
 from __future__ import annotations
@@ -19,13 +38,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
 _heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel-level misuse (double triggers, negative delays)."""
+    """Raised for kernel-level misuse (double triggers, negative delays,
+    running backwards in time, stepping an empty queue)."""
 
 
 class Event:
@@ -69,8 +91,7 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        sim = self.sim
-        _heappush(sim._queue, (sim._now, next(sim._tiebreak), self))
+        self.sim._lane.append(self)
         return self
 
     def succeed(self, value: Any = None) -> "Event":
@@ -95,7 +116,7 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        _heappush(sim._queue, (sim._now + delay, next(sim._tiebreak), self))
+        sim._schedule(self, delay)
 
 
 class AnyOf(Event):
@@ -165,10 +186,15 @@ class AllOf(Event):
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, tiebreak, event)."""
+    """The event loop: a FIFO lane for the events due now, plus a
+    priority queue of ``(time, tiebreak, event)`` for later ones."""
 
     def __init__(self):
         self._now = 0.0
+        # Events due at ``_now``, in scheduling order.  Hot paths that
+        # trigger an event at the current time append here directly.
+        self._lane: deque[Event] = deque()
+        # Events due after ``_now`` only.
         self._queue: list[tuple[float, int, Event]] = []
         self._tiebreak = itertools.count()
         self._running = False
@@ -202,13 +228,14 @@ class Simulator:
     def pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
         """A :class:`Timeout` drawn from a free list.
 
-        Once processed, the timeout is recycled for a later call, so hot
-        process loops (link pumps, drivers, the crossbar) do not allocate
-        a fresh object per flit.  Callers must drop their reference after
-        the timeout fires — i.e. use it only as ``yield
-        sim.pooled_timeout(...)`` — because the object is reused; code
-        that stores a timeout and inspects it later (``timer in fired``)
-        must use :meth:`timeout`.
+        It is scheduled like :meth:`timeout`: into the lane when
+        ``now + delay == now``, else into the heap.  Once processed, the
+        timeout is recycled for a later call, so hot process loops (link
+        pumps, drivers, the crossbar) do not allocate a fresh object per
+        flit.  Callers must drop their reference after the timeout fires
+        — i.e. use it only as ``yield sim.pooled_timeout(...)`` — because
+        the object is reused; code that stores a timeout and inspects it
+        later (``timer in fired``) must use :meth:`timeout`.
         """
         pool = self._timeout_pool
         if not pool:
@@ -224,16 +251,17 @@ class Simulator:
         timeout.delay = delay
         if timeout.callbacks:
             timeout.callbacks.clear()
-        _heappush(self._queue,
-                  (self._now + delay, next(self._tiebreak), timeout))
+        self._schedule(timeout, delay)
         return timeout
 
     def pooled_event(self, name: str = "") -> Event:
         """An :class:`Event` drawn from the same free list.
 
-        The same caveat as :meth:`pooled_timeout` applies: use only at
-        call sites that ``yield`` the event immediately and never touch it
-        again afterwards (FIFO put/get in the link, NI and crossbar pumps).
+        The event is pending; triggering it appends it to the lane like
+        any other event.  The same caveat as :meth:`pooled_timeout`
+        applies: use only at call sites that ``yield`` the event
+        immediately and never touch it again afterwards (FIFO put/get in
+        the link, NI and crossbar pumps).
         Code that stores the event — combinators, ``cancel_get`` watchdog
         patterns, tests reading ``.value`` after the run — must use
         :meth:`event`.
@@ -267,14 +295,41 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._queue, (self._now + delay, next(self._tiebreak), event))
+        """Queue ``event`` to fire ``delay`` ns from now (``delay >= 0``)."""
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._lane.append(event)
+        else:
+            _heappush(self._queue, (when, next(self._tiebreak), event))
 
-    def step(self) -> float:
-        """Process one event; return its timestamp."""
-        when, _, event = heapq.heappop(self._queue)
+    def _advance(self) -> Event:
+        """Pop the earliest heap entry, move the clock to its time and
+        move every other entry due then into the (empty) lane."""
+        queue = self._queue
+        when, _, event = _heappop(queue)
         if when < self._now:
             raise SimulationError("time ran backwards")
         self._now = when
+        lane = self._lane
+        while queue and queue[0][0] == when:
+            lane.append(_heappop(queue)[2])
+        return event
+
+    def _runaway(self, max_events: int) -> SimulationError:
+        return SimulationError(
+            f"exceeded {max_events} events; runaway simulation?")
+
+    def step(self) -> float:
+        """Process one event; return its timestamp."""
+        lane = self._lane
+        if lane:
+            event = lane.popleft()
+        elif self._queue:
+            event = self._advance()
+        else:
+            raise SimulationError("step() on an empty event queue")
+        when = self._now
         if when >= self._sample_due:
             self._sample_due = self._sampler.tick(self._sample_due, when)
         event._processed = True
@@ -295,31 +350,43 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains or simulated time exceeds ``until``.
 
-        Returns the final simulation time.  ``max_events`` is a runaway
-        backstop: the loop processes at most ``max_events`` events and
-        raises :class:`SimulationError` the moment more work would exceed
-        that budget.
+        Returns the final simulation time.  ``until`` may not lie before
+        the current time.  ``max_events`` is a runaway backstop: the loop
+        processes at most ``max_events`` events and raises
+        :class:`SimulationError` the moment more work would exceed that
+        budget.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until!r}) is before the current time "
+                f"{self._now!r}; simulated time cannot run backwards")
         self._running = True
         events = 0
+        lane = self._lane
+        popleft = lane.popleft
         queue = self._queue
         pool = self._timeout_pool
-        heappop = heapq.heappop
+        advance = self._advance
         try:
-            while queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
+            while True:
+                if lane:
+                    if events >= max_events:
+                        raise self._runaway(max_events)
+                    event = popleft()
+                elif queue:
+                    if until is not None and queue[0][0] > until:
+                        self._now = until
+                        break
+                    if events >= max_events:
+                        raise self._runaway(max_events)
+                    event = advance()
+                else:
+                    if until is not None and until > self._now:
+                        self._now = until
                     break
-                if events >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; runaway simulation?")
-                _, _, event = heappop(queue)
-                if when < self._now:
-                    raise SimulationError("time ran backwards")
-                self._now = when
+                when = self._now
                 if when >= self._sample_due:
                     self._sample_due = self._sampler.tick(
                         self._sample_due, when)
@@ -336,9 +403,6 @@ class Simulator:
                 if event._pooled:
                     pool.append(event)
                 events += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
         finally:
             self._running = False
             self.events_processed += events
@@ -351,23 +415,26 @@ class Simulator:
         Unlike :meth:`run`, this stops as soon as the process finishes, so
         it works in the presence of perpetual background processes (OS
         noise, daemons) that would keep the event queue busy forever.
+        Events still due at the finishing time stay queued for a later
+        :meth:`run`.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         events = 0
+        lane = self._lane
+        popleft = lane.popleft
         queue = self._queue
         pool = self._timeout_pool
-        heappop = heapq.heappop
+        advance = self._advance
         try:
-            while queue and not process._triggered:
+            while not process._triggered:
+                if not (lane or queue):
+                    break
                 if events >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; runaway simulation?")
-                when, _, event = heappop(queue)
-                if when < self._now:
-                    raise SimulationError("time ran backwards")
-                self._now = when
+                    raise self._runaway(max_events)
+                event = popleft() if lane else advance()
+                when = self._now
                 if when >= self._sample_due:
                     self._sample_due = self._sampler.tick(
                         self._sample_due, when)
@@ -394,4 +461,5 @@ class Simulator:
         return process.value
 
     def pending_events(self) -> int:
-        return len(self._queue)
+        """Events scheduled but not yet processed: the lane plus the heap."""
+        return len(self._lane) + len(self._queue)

@@ -64,6 +64,30 @@ class TestSimulatorBasics:
         sim.timeout(1.0)
         sim.timeout(2.0)
         assert sim.pending_events() == 2
+        # Events due now (a trigger, a zero-delay timeout) count too.
+        sim.event().trigger()
+        sim.timeout(0.0)
+        assert sim.pending_events() == 4
+        sim.step()
+        assert sim.pending_events() == 3
+
+    def test_pending_events_counts_ties_after_the_clock_moves(self, sim):
+        for _ in range(3):
+            sim.timeout(5.0)
+        sim.timeout(9.0)
+        assert sim.step() == 5.0
+        assert sim.pending_events() == 3
+
+    def test_run_until_before_now_rejected(self, sim):
+        sim.timeout(15.0)
+        assert sim.run() == 15.0
+        with pytest.raises(SimulationError, match="before the current time"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+
+    def test_step_on_empty_queue_rejected(self, sim):
+        with pytest.raises(SimulationError, match="empty event queue"):
+            sim.step()
 
 
 class TestEvent:
