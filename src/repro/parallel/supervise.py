@@ -1,9 +1,8 @@
 """Worker supervision: crash/hang detection, retries, quarantine, degrade.
 
-PR 4's pool was optimistic: ``pool.map`` assumes every worker survives
-every point.  This module replaces that execution strategy with a
-supervised one — the merge contract of :mod:`repro.parallel.sweep` is
-untouched, only *how* pending points get executed changes:
+This is the executor behind every :func:`repro.parallel.sweep.run_sweep`
+call; the sweep module owns seeding, caching, journaling and the merge,
+this one owns *how* pending points get executed:
 
 * each worker process runs a tiny task loop (own task queue, shared
   result queue) so the supervisor always knows **which** point a worker
@@ -17,8 +16,11 @@ untouched, only *how* pending points get executed changes:
 * results carry a SHA-256 digest computed *inside* the worker; a
   mismatch at the supervisor (torn pipe, injected ``result_corrupt``)
   is treated as a failure and retried;
+* a point that raises is retried the same way, in a worker or in
+  process;
 * a point that exhausts its retry budget is **quarantined** — a "poison
-  point" reported at the end via :class:`PoisonedSweepError` instead of
+  point" reported at the end via :class:`PoisonedSweepError` (whose
+  message carries the first poison point's ``Type: message``) instead of
   aborting the other points;
 * if workers keep dying (respawn budget ``jobs * (retries + 2)``
   exhausted) the pool itself is declared dead and the remaining points
@@ -37,15 +39,15 @@ report can gate on them.
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import pickle
 import queue as queue_module
 import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.faults.harness import (
     HarnessFaultPlan,
@@ -94,7 +96,7 @@ class PoisonedSweepError(RuntimeError):
         more = f" (+{len(poisoned) - 4} more)" if len(poisoned) > 4 else ""
         super().__init__(
             f"{len(poisoned)} point(s) quarantined after retries: "
-            f"{names}{more}")
+            f"{names}{more}; first error: {poisoned[0].error}")
         self.poisoned = poisoned
         self.outcomes = outcomes
         self.journal_path = journal_path
@@ -250,6 +252,12 @@ def _worker_main(task_queue, result_queue) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pool_context() -> multiprocessing.context.BaseContext:
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
 class _Worker:
     __slots__ = ("process", "tasks", "index", "attempt", "started_at")
 
@@ -301,8 +309,6 @@ class WorkerSupervisor:
     # -- lifecycle ---------------------------------------------------------
 
     def run(self, tasks: List[Tuple[int, Dict[str, Any]]]) -> TaskResults:
-        from repro.parallel.sweep import _pool_context
-
         self._ctx = _pool_context()
         self._result_queue = self._ctx.Queue()
         self._pending: List[Tuple[int, int, float]] = []  # (idx, att, when)

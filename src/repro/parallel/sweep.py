@@ -2,8 +2,8 @@
 
 Every figure in the reproduction is a family of *independent* points —
 message sizes (Figs. 9-12), matrix sizes (Figs. 7-8), HINT machines
-(Fig. 6), chaos seeds — so :func:`run_sweep` farms them over a process
-pool and merges the results back as if they had run serially.  The
+(Fig. 6), chaos seeds — so :func:`run_sweep` farms them over worker
+processes and merges the results back as if they had run serially.  The
 contract is **strict determinism**: ``jobs=N`` must produce byte-identical
 output to ``jobs=1``.  Three mechanisms enforce it:
 
@@ -20,31 +20,33 @@ output to ``jobs=1``.  Three mechanisms enforce it:
   *submission* order (span ids reallocated, message ids offset per
   point), regardless of completion order.
 
-Workers are plain ``multiprocessing`` pool processes (fork where
-available, spawn otherwise); ``fn`` must therefore be a module-level
-callable and configs must pickle.  A :class:`~repro.parallel.cache.ResultCache`
-short-circuits any point whose fingerprint (source digest + config +
-seed) already has a stored result — including its captured metrics and
-spans, so a warm-cache ``--trace`` run still writes the full trace.
+There is one executor, the supervised one of
+:mod:`repro.parallel.supervise`, configured by a
+:class:`~repro.parallel.supervise.SuperviseConfig` (library callers that
+pass none get its defaults without a journal).  Workers are
+``multiprocessing`` processes (fork where available, spawn otherwise),
+so ``fn`` must be a module-level callable and configs must pickle; one
+pending point at ``jobs=1`` runs in-process unless a point timeout asks
+for a killable worker.  Crashed and hung workers are retried with
+backoff, a point that keeps failing is quarantined and reported via
+:class:`~repro.parallel.supervise.PoisonedSweepError` *after* the healthy
+points finish, a dying pool degrades to in-process serial execution, and
+SIGINT/SIGTERM stop cleanly at a point boundary.
 
-Passing a :class:`~repro.parallel.supervise.SuperviseConfig` swaps the
-optimistic ``pool.map`` for the supervised executor: every run is
-journaled (:mod:`repro.parallel.journal`), worker crashes and hangs are
-retried with backoff, repeatedly-failing points are quarantined and
-reported via :class:`~repro.parallel.supervise.PoisonedSweepError`
-*after* the healthy points finish, a dying pool degrades to in-process
-serial execution, SIGINT/SIGTERM stop cleanly at a point boundary, and
-``resume_from`` replays a previous journal so only unfinished points
-recompute.  Because replayed payloads are byte-for-byte what the
-interrupted run produced and the merge is in submission order, a resumed
-run's artifacts are byte-identical to an uninterrupted run's — the same
-contract as ``jobs=N``.
+A :class:`~repro.parallel.cache.ResultCache` short-circuits any point
+whose fingerprint (source digest + config + seed) already has a stored
+result — including its captured metrics and spans, so a warm-cache
+``--trace`` run still writes the full trace.  A journaled run
+(:mod:`repro.parallel.journal`) can be resumed with ``resume_from``: only
+unfinished points recompute, and because replayed payloads are
+byte-for-byte what the interrupted run produced and the merge is in
+submission order, a resumed run's artifacts are byte-identical to an
+uninterrupted run's — the same contract as ``jobs=N``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -130,12 +132,6 @@ def _execute_point(payload: Dict[str, Any]) -> Tuple[Any, Any, Any, Any]:
         return fn(config, seed), None, None, None
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
 def _slot_blob(slot: Tuple[Any, Any, Any, Any, bool, int]) -> bytes:
     """A slot's result payload pickled exactly as the executor would."""
     value, metrics, spans, timeline = slot[:4]
@@ -162,8 +158,9 @@ def run_sweep(sweep_id: str,
         points: ordered ``(key, config)`` pairs; ``key`` needs a
             deterministic ``repr`` and both must pickle.
         fn: module-level ``fn(config, seed) -> value``.
-        jobs: worker processes; ``1`` runs in-process through the exact
-            same per-point isolation and merge path.
+        jobs: worker processes; ``1`` runs in-process (or in one worker
+            when ``point_timeout_s`` is set) through the exact same
+            per-point isolation and merge path.
         cache: optional :class:`ResultCache`; hits skip execution and
             replay the stored value plus any captured metrics/spans.
         modules: module/package names whose source digest keys the cache
@@ -172,21 +169,25 @@ def run_sweep(sweep_id: str,
             base seed).
         capture: capture per-point metrics/spans and merge them into the
             ambient observability session; defaults to ``OBS.enabled``.
-        supervise: run under the supervised executor — journaled,
-            crash/hang-tolerant, resumable.  ``None`` keeps the legacy
-            optimistic pool.
+        supervise: retries, point timeout, journal and resume settings;
+            ``None`` means ``SuperviseConfig(enable_journal=False)``.  Its
+            ``stats`` and ``journal_path_used`` are filled in.
 
     Returns:
         One :class:`PointOutcome` per input point, in input order.
 
     Raises:
-        PoisonedSweepError: some points were quarantined after retries
-            (the exception carries every outcome, healthy ones included).
+        PoisonedSweepError: some points were quarantined after retries —
+            a point that raises surfaces here, its ``Type: message`` in
+            the error text (the exception carries every outcome, healthy
+            ones included).
         SweepInterrupted: SIGINT/SIGTERM (or an injected
             ``run_interrupt`` fault) stopped the run; the journal named
-            by the exception resumes it.
+            by the exception, if any, resumes it.
     """
     points = list(points)
+    if supervise is None:
+        supervise = SuperviseConfig(enable_journal=False)
     if capture is None:
         capture = OBS.enabled
     span_limit = OBS.tracer.limit if capture else 0
@@ -195,12 +196,8 @@ def run_sweep(sweep_id: str,
     # encoded series merge back like metrics and spans do.
     sample_interval = (OBS.timeline.sample_interval_ns
                        if capture and OBS.timeline.enabled else None)
-    stats: Optional[SupervisionStats] = None
-    journaling = False
-    if supervise is not None:
-        stats = SupervisionStats()
-        supervise.stats = stats
-        journaling = bool(supervise.enable_journal or supervise.resume_from)
+    stats = supervise.stats = SupervisionStats()
+    journaling = bool(supervise.enable_journal or supervise.resume_from)
     need_fp = cache is not None or journaling
     digest = source_digest(modules) if need_fp else ""
 
@@ -230,7 +227,7 @@ def run_sweep(sweep_id: str,
     # (same code, config, seed, capture mode) replay their stored
     # payloads; anything stale, missing or digest-corrupt recomputes.
     resume_state = None
-    if supervise is not None and supervise.resume_from:
+    if supervise.resume_from:
         resume_state = load_journal(supervise.resume_from)
         if (resume_state.sweep_id is not None
                 and resume_state.sweep_id != sweep_id):
@@ -283,55 +280,36 @@ def run_sweep(sweep_id: str,
                                         _slot_blob(slot), cached=True)
 
         if pending:
-            payloads = [task for _, task in pending]
-            if supervise is None:
-                if jobs > 1 and len(pending) > 1:
-                    with _pool_context().Pool(
-                            processes=min(jobs, len(pending))) as pool:
-                        # map() preserves input order whatever the
-                        # completion order; chunksize=1 keeps long points
-                        # load-balanced.
-                        produced = pool.map(_execute_point, payloads,
-                                            chunksize=1)
+            harness_plan = load_harness_plan()
+            with interrupt_guard() as flag:
+                # Only a worker process can be killed, so a point timeout
+                # keeps even a single pending point out of this process.
+                if ((jobs > 1 and len(pending) > 1)
+                        or supervise.point_timeout_s is not None):
+                    sup = WorkerSupervisor(
+                        min(jobs, len(pending)), supervise, stats,
+                        journal=journal, fingerprints=prints,
+                        harness_plan=harness_plan, interrupt_flag=flag)
+                    results = sup.run(pending)
                 else:
-                    produced = [_execute_point(task) for task in payloads]
-                for (index, task), (value, metrics, spans, timeline) in zip(
-                        pending, produced):
-                    slots[index] = (value, metrics, spans, timeline, False,
-                                    task["seed"])
+                    results = run_serial_supervised(
+                        pending, supervise, stats, journal=journal,
+                        fingerprints=prints, interrupt_flag=flag,
+                        harness_plan=harness_plan)
+            for index, task in pending:
+                status, body = results[index]
+                if status == "ok":
+                    value, metrics, spans, timeline = body
+                    slots[index] = (value, metrics, spans, timeline,
+                                    False, task["seed"])
                     if cache is not None:
                         cache.put(prints[index],
                                   {"value": value, "metrics": metrics,
                                    "spans": spans, "timeline": timeline})
-            else:
-                harness_plan = load_harness_plan()
-                with interrupt_guard() as flag:
-                    if jobs > 1 and len(pending) > 1:
-                        sup = WorkerSupervisor(
-                            min(jobs, len(pending)), supervise, stats,
-                            journal=journal, fingerprints=prints,
-                            harness_plan=harness_plan, interrupt_flag=flag)
-                        results = sup.run(pending)
-                    else:
-                        results = run_serial_supervised(
-                            pending, supervise, stats, journal=journal,
-                            fingerprints=prints, interrupt_flag=flag,
-                            harness_plan=harness_plan)
-                for index, task in pending:
-                    status, body = results[index]
-                    if status == "ok":
-                        value, metrics, spans, timeline = body
-                        slots[index] = (value, metrics, spans, timeline,
-                                        False, task["seed"])
-                        if cache is not None:
-                            cache.put(prints[index],
-                                      {"value": value, "metrics": metrics,
-                                       "spans": spans,
-                                       "timeline": timeline})
-                    else:
-                        errors[index] = body
-                        slots[index] = (None, None, None, None, False,
-                                        task["seed"])
+                else:
+                    errors[index] = body
+                    slots[index] = (None, None, None, None, False,
+                                    task["seed"])
 
         if journal is not None:
             journal.record_end(ok=not errors)
@@ -359,8 +337,7 @@ def run_sweep(sweep_id: str,
         outcomes.append(PointOutcome(key=key, value=value, seed=seed,
                                      cached=cached, failed=failed,
                                      error=errors.get(index)))
-    if stats is not None:
-        stats.publish()
+    stats.publish()
     if errors:
         poisoned = [PoisonPoint(index=index, key=points[index][0],
                                 attempts=supervise.retries + 1,

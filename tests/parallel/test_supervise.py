@@ -6,6 +6,7 @@ uses — so every recovery behaviour asserted here is reproducible."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -42,6 +43,12 @@ def flaky_task(config, seed):
     FLAKY_CALLS["n"] += 1
     if FLAKY_CALLS["n"] == 1:
         raise RuntimeError("transient")
+    return config["x"]
+
+
+def sleepy_task(config, seed):
+    """A real hang: no harness fault, just a point that never finishes."""
+    time.sleep(30)
     return config["x"]
 
 
@@ -199,6 +206,21 @@ class TestPoolSupervision:
         assert session.metrics.counter("supervision.retries").value == 1
         assert session.metrics.counter(
             "supervision.worker_deaths").value == 1
+
+
+class TestPointTimeout:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_single_pending_point_is_timed_out(self, jobs):
+        # One pending point would otherwise run in-process, where it
+        # cannot be killed; the timeout must still end it.
+        supervise = SuperviseConfig(retries=0, point_timeout_s=0.5,
+                                    enable_journal=False)
+        start = time.monotonic()
+        with pytest.raises(PoisonedSweepError, match="point timeout"):
+            run_sweep("sleepy", [((0,), {"x": 1})], sleepy_task, jobs=jobs,
+                      supervise=supervise)
+        assert time.monotonic() - start < 10
+        assert supervise.stats.timeouts == 1
 
 
 class TestInterruptAndResume:

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.obs import OBS, observe
-from repro.parallel import PointOutcome, derive_seed, run_sweep, sweep_values
+from repro.parallel import (
+    JOURNAL_ENV,
+    PointOutcome,
+    PoisonedSweepError,
+    derive_seed,
+    run_sweep,
+    sweep_values,
+)
 
 # Point functions live at module level so pool workers can pickle them.
 
@@ -14,6 +21,10 @@ def square_task(config, seed):
 
 def seed_echo_task(config, seed):
     return seed
+
+
+def failing_task(config, seed):
+    raise ValueError(f"bad point {config['n']}")
 
 
 def observing_task(config, seed):
@@ -68,6 +79,23 @@ class TestRunSweep:
 
     def test_empty_sweep(self):
         assert run_sweep("sq", [], square_task) == []
+
+
+class TestLibraryDefault:
+    """``supervise=None`` is the CLI's executor without a journal."""
+
+    def test_raising_point_is_quarantined_with_its_error(self):
+        with pytest.raises(PoisonedSweepError,
+                           match="ValueError: bad point 3") as info:
+            run_sweep("fail", _points([3]), failing_task)
+        assert [p.key for p in info.value.poisoned] == [("n", 3)]
+        assert info.value.poisoned[0].attempts == 3  # default retries=2
+
+    def test_writes_no_journal(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(JOURNAL_ENV, str(tmp_path))
+        assert sweep_values(run_sweep("sq", _points([1, 2]),
+                                      square_task)) == [1, 4]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestObservabilityMerge:

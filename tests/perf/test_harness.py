@@ -18,7 +18,6 @@ from repro.perf import (
     SEED_BASELINE,
     bench_payload,
     run_bench,
-    run_kernel,
     write_bench_json,
 )
 
@@ -38,8 +37,10 @@ def tiny_kernel(monkeypatch):
 
 
 class TestRunKernel:
+    """One kernel's timing, through ``run_bench``."""
+
     def test_repeats_and_result_fields(self, tiny_kernel):
-        result = run_kernel("tiny", repeats=4)
+        [result] = run_bench(repeats=4, kernels=["tiny"])
         assert len(tiny_kernel) == 4
         assert result.name == "tiny"
         assert result.repeats == 4
@@ -51,7 +52,7 @@ class TestRunKernel:
 
     def test_zero_repeats_rejected(self, tiny_kernel):
         with pytest.raises(ValueError, match="repeats"):
-            run_kernel("tiny", repeats=0)
+            run_bench(repeats=0, kernels=["tiny"])
 
     def test_nondeterministic_kernel_rejected(self, monkeypatch):
         ticks = iter(range(100))
@@ -62,7 +63,7 @@ class TestRunKernel:
         monkeypatch.setitem(harness.KERNELS, "flaky", flaky)
         monkeypatch.setattr(harness, "_warm_imports", lambda: None)
         with pytest.raises(AssertionError, match="nondeterministic"):
-            run_kernel("flaky", repeats=2)
+            run_bench(repeats=2, kernels=["flaky"])
 
     def test_speedup_vs_seed(self):
         known = next(iter(SEED_BASELINE["kernels"]))
