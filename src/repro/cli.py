@@ -177,6 +177,43 @@ def _check_health(args, session) -> int:
     return 0 if report.ok else 1
 
 
+def _observed(args, body) -> int:
+    """Run ``body`` (the experiment and its printing) under the session
+    the observation flags ask for; returns the exit code.
+
+    Without --trace, --metrics-out or sampling, ``body`` runs bare.  With
+    them it runs inside one ``observe()`` session whose artifacts are
+    written afterwards and whose --health gates decide the exit code.
+    The trace-driven node figures never build a Simulator, so their
+    timelines stay empty; they share this surface so a HealthSpec with
+    metric rules still gates them.  Ctrl-C flushes what the session saw,
+    marked partial, and returns 130 (an interrupted sweep re-raises so
+    ``main`` still prints its resume hint).
+    """
+    trace_path = getattr(args, "trace", None)
+    metrics_path = getattr(args, "metrics_out", None)
+    timeline_path = getattr(args, "timeline_out", None)
+    interval = _sampling_interval(args)
+    if not (trace_path or metrics_path or interval):
+        body()
+        return 0
+    session = None
+    try:
+        with observe(sample_interval_ns=interval) as session:
+            body()
+    except KeyboardInterrupt as exc:
+        print("interrupted: flushing partial artifacts", file=sys.stderr)
+        if session is not None:
+            _write_session_artifacts(session, trace_path, metrics_path,
+                                     timeline_path, partial=True)
+        if isinstance(exc, SweepInterrupted):
+            raise
+        return 130
+    _write_session_artifacts(session, trace_path, metrics_path,
+                             timeline_path)
+    return _check_health(args, session)
+
+
 def cmd_list(_args) -> None:
     rows = [
         ["table1", "configuration of the test systems"],
@@ -203,24 +240,6 @@ def cmd_table1(_args) -> None:
     _emit(format_config_table(table1()))
 
 
-def _node_figure(args, body) -> Optional[int]:
-    """Run a trace-driven node figure, optionally under a sampling session.
-
-    The node kernels never build a Simulator, so their timelines stay
-    empty — the flags exist so every figure shares one observability
-    surface (and so a HealthSpec with metric rules still gates them).
-    """
-    interval = _sampling_interval(args)
-    if not interval:
-        body()
-        return 0
-    with observe(sample_interval_ns=interval) as session:
-        body()
-    _write_session_artifacts(session, None, None,
-                             getattr(args, "timeline_out", None))
-    return _check_health(args, session)
-
-
 def cmd_fig6(args) -> Optional[int]:
     def body() -> None:
         sweep = _sweep_options(args)
@@ -245,7 +264,7 @@ def cmd_fig6(args) -> Optional[int]:
         _report_cache(sweep["cache"])
         _report_supervision(sweep["supervise"])
 
-    return _node_figure(args, body)
+    return _observed(args, body)
 
 
 def cmd_fig7(args) -> Optional[int]:
@@ -271,7 +290,7 @@ def cmd_fig7(args) -> Optional[int]:
         _report_cache(sweep["cache"])
         _report_supervision(sweep["supervise"])
 
-    return _node_figure(args, body)
+    return _observed(args, body)
 
 
 def cmd_fig8(args) -> Optional[int]:
@@ -294,7 +313,7 @@ def cmd_fig8(args) -> Optional[int]:
         _report_cache(sweep["cache"])
         _report_supervision(sweep["supervise"])
 
-    return _node_figure(args, body)
+    return _observed(args, body)
 
 
 def _fault_plan_from_args(args):
@@ -334,33 +353,21 @@ def _topology_spec(args):
 
 def _comm_figure(metric: str, title: str, args) -> Optional[int]:
     sizes = tuple(args.sizes) if args.sizes else DEFAULT_COMM_SIZES
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics_out", None)
-    timeline_path = getattr(args, "timeline_out", None)
-    interval = _sampling_interval(args)
     plan = _fault_plan_from_args(args)
     topology = _topology_spec(args)
     options = _sweep_options(args)
-    # The title deliberately stays topology-free: `fig9` and
-    # `fig9 --topology cluster` must be byte-identical (the CI smoke
-    # check pins the spec path to the legacy path this way).
-    rc = 0
-    if trace_path or metrics_path or interval:
-        with observe(sample_interval_ns=interval) as session:
-            sweep = comm_sweep(metric, sizes=sizes, fault_plan=plan,
-                               topology=topology, **options)
-        series = {system: [metric_value(p, metric) for p in points]
-                  for system, points in sweep.items()}
-        _emit(format_series(series, list(sizes), "bytes", title=title))
-        _write_session_artifacts(session, trace_path, metrics_path,
-                                 timeline_path)
-        rc = _check_health(args, session)
-    else:
+
+    def body() -> None:
         sweep = comm_sweep(metric, sizes=sizes, fault_plan=plan,
                            topology=topology, **options)
         series = {system: [metric_value(p, metric) for p in points]
                   for system, points in sweep.items()}
+        # The title deliberately stays topology-free: `fig9` and
+        # `fig9 --topology cluster` must be byte-identical (the CI smoke
+        # check pins the spec path to the legacy path this way).
         _emit(format_series(series, list(sizes), "bytes", title=title))
+
+    rc = _observed(args, body)
     _report_cache(options["cache"])
     _report_supervision(options["supervise"])
     return rc
@@ -400,49 +407,8 @@ def cmd_chaos(args) -> Optional[int]:
 
     if args.seeds:
         return _chaos_campaign(plan, args)
-
-    def run():
-        return run_chaos(plan,
-                         topology=args.topology,
-                         protocol=args.protocol,
-                         flows=args.flows,
-                         messages=args.messages,
-                         nbytes=args.nbytes,
-                         window=args.window,
-                         error_rate=args.error_rate,
-                         ack_error_rate=getattr(args, "ack_error_rate",
-                                                None))
-
-    interval = _sampling_interval(args)
-    rc = 0
-    if args.trace or args.metrics_out or interval:
-        session = None
-        try:
-            with observe(sample_interval_ns=interval) as session:
-                report = run()
-        except KeyboardInterrupt:
-            # Flush whatever the session observed before the interrupt,
-            # marked partial, instead of dying with a bare traceback.
-            print("interrupted: flushing partial artifacts",
-                  file=sys.stderr)
-            if session is not None:
-                _write_session_artifacts(
-                    session, args.trace, args.metrics_out,
-                    getattr(args, "timeline_out", None), partial=True)
-            return 130
-        _emit(format_report(report))
-        _write_session_artifacts(session, args.trace, args.metrics_out,
-                                 getattr(args, "timeline_out", None))
-        rc = _check_health(args, session)
-    else:
-        report = run()
-        _emit(format_report(report))
-    if args.report_out:
-        from repro.atomicio import atomic_write_text
-
-        atomic_write_text(args.report_out, report.to_json() + "\n")
-        print(f"wrote {args.report_out}")
-    return rc
+    return _chaos_observed(
+        args, lambda: run_chaos(plan, **_chaos_kwargs(args)), format_report)
 
 
 def _chaos_campaign(plan, args) -> Optional[int]:
@@ -450,39 +416,40 @@ def _chaos_campaign(plan, args) -> Optional[int]:
     from repro.parallel.campaign import format_campaign, run_campaign
 
     options = _sweep_options(args)
-
-    def run():
-        return run_campaign(plan, args.seeds,
-                            topology=args.topology,
-                            protocol=args.protocol,
-                            flows=args.flows,
-                            messages=args.messages,
-                            nbytes=args.nbytes,
-                            window=args.window,
-                            error_rate=args.error_rate,
-                            ack_error_rate=getattr(args, "ack_error_rate",
-                                                   None),
-                            **options)
-
-    interval = _sampling_interval(args)
-    rc = 0
-    if args.trace or args.metrics_out or interval:
-        with observe(sample_interval_ns=interval) as session:
-            report = run()
-        _emit(format_campaign(report))
-        _write_session_artifacts(session, args.trace, args.metrics_out,
-                                 getattr(args, "timeline_out", None))
-        rc = _check_health(args, session)
-    else:
-        report = run()
-        _emit(format_campaign(report))
-    if args.report_out:
-        from repro.atomicio import atomic_write_text
-
-        atomic_write_text(args.report_out, report.to_json() + "\n")
-        print(f"wrote {args.report_out}")
+    rc = _chaos_observed(
+        args,
+        lambda: run_campaign(plan, args.seeds, **_chaos_kwargs(args),
+                             **options),
+        format_campaign)
     _report_cache(options["cache"])
     _report_supervision(options["supervise"])
+    return rc
+
+
+def _chaos_kwargs(args) -> dict:
+    """The experiment shape shared by one chaos run and a campaign."""
+    return {"topology": args.topology, "protocol": args.protocol,
+            "flows": args.flows, "messages": args.messages,
+            "nbytes": args.nbytes, "window": args.window,
+            "error_rate": args.error_rate,
+            "ack_error_rate": args.ack_error_rate}
+
+
+def _chaos_observed(args, run, fmt) -> int:
+    """Run and print one chaos report through :func:`_observed`, then
+    write it to --report-out unless the run was interrupted."""
+    reports = []
+
+    def body() -> None:
+        reports.append(run())
+        _emit(fmt(reports[0]))
+
+    rc = _observed(args, body)
+    if reports and args.report_out:
+        from repro.atomicio import atomic_write_text
+
+        atomic_write_text(args.report_out, reports[0].to_json() + "\n")
+        print(f"wrote {args.report_out}")
     return rc
 
 
@@ -638,6 +605,16 @@ def cmd_traffic(args) -> Optional[int]:
         return 2
     if args.load:
         return _traffic_load(args, spec)
+    load_only = [flag for flag, value in (
+        ("--fault-plan", args.fault_plan), ("--fault-seed", args.fault_seed),
+        ("--pattern-mix", args.pattern_mix),
+        ("--closed-loop", args.closed_loop), ("--adaptive", args.adaptive),
+        ("--json-out", args.json_out))
+        if value is not None and value is not False]
+    if load_only:
+        print(f"traffic: load-sweep option(s) given without --load: "
+              f"{', '.join(load_only)}", file=sys.stderr)
+        return 2
     qos = _traffic_qos(args)
     crossbar_config = (CrossbarConfig(qos=qos) if qos is not None
                        else CrossbarConfig())
@@ -840,12 +817,69 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     _add_supervise_options(parser)
 
 
-def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
+def _add_artifact_options(parser: argparse.ArgumentParser) -> None:
+    """The shared --trace/--metrics-out observation artifacts."""
+    parser.add_argument("--trace", metavar="FILE", default=None,
+                        help="record span tracing; write a Chrome "
+                             "trace-event JSON (load in Perfetto / "
+                             "chrome://tracing)")
+    parser.add_argument("--metrics-out", metavar="FILE", default=None,
+                        help="write labeled metrics of the run as JSON")
+
+
+def _add_fault_options(parser: argparse.ArgumentParser) -> None:
+    """The shared --fault-plan/--fault-seed surface."""
+    parser.add_argument("--fault-plan", metavar="FILE", default=None,
+                        help="run under this fault plan (JSON; see the "
+                             "chaos subcommand)")
+    parser.add_argument("--fault-seed", type=int, default=None,
+                        help="override the fault plan's seed")
+
+
+def _add_chaos_options(parser: argparse.ArgumentParser,
+                       error_rate: Optional[float] = 0.0) -> None:
+    """The chaos experiment surface (read directly by cmd_chaos)."""
+    parser.add_argument("--plan", metavar="FILE", default=None,
+                        help="fault plan JSON (seed + fault specs)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the plan's seed")
+    parser.add_argument("--seeds", type=int, default=0, metavar="N",
+                        help="campaign mode: run the experiment under N "
+                             "derived seeds and aggregate goodput/reroute "
+                             "statistics (mean/p50/p99)")
+    parser.add_argument("--topology", metavar="NAME_OR_JSON",
+                        default="cluster",
+                        help="cluster, manna, grid (legacy scaled-down "
+                             "systems) or any topology spec expression/"
+                             "JSON/file at flit fidelity")
+    parser.add_argument("--protocol", choices=("sliding", "stopwait"),
+                        default="sliding")
+    parser.add_argument("--flows", type=int, default=4)
+    parser.add_argument("--messages", type=int, default=8,
+                        help="messages per flow")
+    parser.add_argument("--window", type=int, default=8,
+                        help="sliding-window size")
+    parser.add_argument("--error-rate", type=float, default=error_rate,
+                        help="protocol-level corruption probability")
+    parser.add_argument("--ack-error-rate", type=float, default=None,
+                        help="decouple the reverse path: probability an "
+                             "acknowledgement is corrupted (default: "
+                             "mirrors --error-rate)")
+    parser.add_argument("--link-error-rate", type=float, default=0.0,
+                        help="shorthand: uniform link_corrupt plan at this "
+                             "probability (ignored when --plan is given)")
+    parser.add_argument("--report-out", metavar="FILE", default=None,
+                        help="write the chaos report (or campaign report "
+                             "with --seeds) as JSON")
+
+
+def _add_experiment_options(parser: argparse.ArgumentParser,
+                            nbytes: Optional[int] = 8) -> None:
     """The union of options the wrapped experiment commands read."""
     parser.add_argument("--scale", type=int, default=16)
     parser.add_argument("--sizes", type=int, nargs="*", default=None)
     parser.add_argument("--subintervals", type=int, default=4096)
-    parser.add_argument("--nbytes", type=int, default=8)
+    parser.add_argument("--nbytes", type=int, default=nbytes)
     _add_sweep_options(parser)
 
 
@@ -878,19 +912,11 @@ def build_parser() -> argparse.ArgumentParser:
                            ("fig12", "bidirectional bandwidth")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--sizes", type=int, nargs="*", default=None)
-        p.add_argument("--trace", metavar="FILE", default=None,
-                       help="record span tracing; write a Chrome trace-event "
-                            "JSON (load in Perfetto / chrome://tracing)")
-        p.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write labeled metrics of the run as JSON")
+        _add_artifact_options(p)
         p.add_argument("--error-rate", type=float, default=None,
                        help="inject uniform link corruption at this "
                             "probability while measuring")
-        p.add_argument("--fault-plan", metavar="FILE", default=None,
-                       help="run the measurement under this fault plan "
-                            "(JSON; see the chaos subcommand)")
-        p.add_argument("--fault-seed", type=int, default=None,
-                       help="override the fault plan's seed")
+        _add_fault_options(p)
         p.add_argument("--topology", metavar="NAME_OR_JSON", default=None,
                        help="measure on this topology instead of the "
                             "8-node cluster: a generator expression "
@@ -946,54 +972,16 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--adaptive-depth", type=int, default=4,
                          help="queue depth at which an output port "
                               "counts as congested")
-    traffic.add_argument("--fault-plan", metavar="FILE", default=None,
-                         help="run the load sweep under this fault plan "
-                              "(JSON; see the chaos subcommand)")
-    traffic.add_argument("--fault-seed", type=int, default=None,
-                         help="override the fault plan's seed")
+    _add_fault_options(traffic)
     traffic.add_argument("--json-out", metavar="FILE", default=None,
                          help="write the load-sweep results as JSON")
     _add_sweep_options(traffic)
 
     chaos = sub.add_parser(
         "chaos", help="run a fault-injection experiment from a plan file")
-    chaos.add_argument("--plan", metavar="FILE", default=None,
-                       help="fault plan JSON (seed + fault specs)")
-    chaos.add_argument("--seed", type=int, default=None,
-                       help="override the plan's seed")
-    chaos.add_argument("--topology", metavar="NAME_OR_JSON",
-                       default="cluster",
-                       help="cluster, manna, grid (legacy scaled-down "
-                            "systems) or any topology spec expression/"
-                            "JSON/file at flit fidelity")
-    chaos.add_argument("--protocol", choices=("sliding", "stopwait"),
-                       default="sliding")
-    chaos.add_argument("--flows", type=int, default=4)
-    chaos.add_argument("--messages", type=int, default=8,
-                       help="messages per flow")
+    _add_chaos_options(chaos)
     chaos.add_argument("--nbytes", type=int, default=1024)
-    chaos.add_argument("--window", type=int, default=8,
-                       help="sliding-window size")
-    chaos.add_argument("--error-rate", type=float, default=0.0,
-                       help="protocol-level corruption probability")
-    chaos.add_argument("--ack-error-rate", type=float, default=None,
-                       help="decouple the reverse path: probability an "
-                            "acknowledgement is corrupted (default: "
-                            "mirrors --error-rate)")
-    chaos.add_argument("--link-error-rate", type=float, default=0.0,
-                       help="shorthand: uniform link_corrupt plan at this "
-                            "probability (ignored when --plan is given)")
-    chaos.add_argument("--trace", metavar="FILE", default=None,
-                       help="write a Perfetto trace of the chaos run")
-    chaos.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write labeled metrics of the run as JSON")
-    chaos.add_argument("--report-out", metavar="FILE", default=None,
-                       help="write the chaos report (or campaign report "
-                            "with --seeds) as JSON")
-    chaos.add_argument("--seeds", type=int, default=0, metavar="N",
-                       help="campaign mode: run the experiment under N "
-                            "derived seeds and aggregate goodput/reroute "
-                            "statistics (mean/p50/p99)")
+    _add_artifact_options(chaos)
     _add_sampling_options(chaos)
     _add_sweep_options(chaos)
 
@@ -1055,33 +1043,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "external dependencies)")
     report.add_argument("--span-limit", type=int, default=1_000_000)
     _add_sampling_options(report)
-    # The union of options the wrapped experiments read.  --nbytes stays
-    # None here and is resolved per experiment (8 for the figures/logp,
-    # 1024 for chaos).
-    report.add_argument("--scale", type=int, default=16)
-    report.add_argument("--sizes", type=int, nargs="*", default=None)
-    report.add_argument("--subintervals", type=int, default=4096)
-    report.add_argument("--nbytes", type=int, default=None)
-    _add_sweep_options(report)
-    # The chaos surface (read directly by cmd_chaos).
-    report.add_argument("--plan", metavar="FILE", default=None)
-    report.add_argument("--seed", type=int, default=None)
-    report.add_argument("--seeds", type=int, default=0, metavar="N")
-    report.add_argument("--topology", metavar="NAME_OR_JSON",
-                        default="cluster")
-    report.add_argument("--protocol", choices=("sliding", "stopwait"),
-                        default="sliding")
-    report.add_argument("--flows", type=int, default=4)
-    report.add_argument("--messages", type=int, default=8)
-    report.add_argument("--window", type=int, default=8)
-    report.add_argument("--error-rate", type=float, default=None)
-    report.add_argument("--ack-error-rate", type=float, default=None)
-    report.add_argument("--link-error-rate", type=float, default=0.0)
-    report.add_argument("--trace", metavar="FILE", default=None)
-    report.add_argument("--metrics-out", metavar="FILE", default=None)
-    report.add_argument("--report-out", metavar="FILE", default=None)
-    report.add_argument("--fault-plan", metavar="FILE", default=None)
-    report.add_argument("--fault-seed", type=int, default=None)
+    _add_artifact_options(report)
+    _add_fault_options(report)
+    # The union of options the wrapped experiments read.  --nbytes and
+    # --error-rate stay None here and are resolved per experiment (8 for
+    # the figures/logp, 1024 and 0.0 for chaos).
+    _add_experiment_options(report, nbytes=None)
+    _add_chaos_options(report, error_rate=None)
     return parser
 
 

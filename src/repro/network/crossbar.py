@@ -25,7 +25,6 @@ from repro.obs import OBS
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,10 @@ class Crossbar:
     """A single crossbar chip: input FIFOs, per-output arbiters, wormholes."""
 
     def __init__(self, sim: Simulator, config: CrossbarConfig = CrossbarConfig(),
-                 name: str = "xbar", tracer: Tracer = NULL_TRACER):
+                 name: str = "xbar"):
         self.sim = sim
         self.config = config
         self.name = name
-        self.tracer = tracer
         self.inputs: List[ByteFifo] = [
             ByteFifo(sim, config.input_fifo_bytes, name=f"{name}.in{i}")
             for i in range(config.ports)
@@ -219,8 +217,6 @@ class Crossbar:
             # byte is consumed here and never forwarded.
             yield pooled_timeout(route_setup_ns)
             stats_incr("connections")
-            self.tracer.record(sim.now, self.name, "route",
-                               (port, out_port, flit.message_id))
             fwd_span = 0
             if OBS.enabled:
                 OBS.tracer.end(arb_span, self.sim.now,
@@ -267,8 +263,6 @@ class Crossbar:
                     arbiter.release(sclass, conn_bytes)
                 else:
                     arbiter.release()
-                self.tracer.record(sim.now, self.name, "close",
-                                   (port, out_port, message_id))
                 if OBS.enabled:
                     OBS.tracer.end(fwd_span, self.sim.now)
 
@@ -296,8 +290,6 @@ class Crossbar:
     def _note_teardown(self, in_port: int, out_port: int,
                        message_id: int) -> None:
         self.stats.incr("torn_down")
-        self.tracer.record(self.sim.now, self.name, "teardown",
-                           (in_port, out_port, message_id))
         if OBS.enabled:
             OBS.metrics.incr("faults.wormhole_teardowns", xbar=self.name)
 
@@ -309,8 +301,6 @@ class Crossbar:
         before sending CLOSE), in which case the caller must resync.
         """
         self.stats.incr("blackholed")
-        self.tracer.record(self.sim.now, self.name, "blackhole",
-                           (in_port, out_port, message_id))
         if OBS.enabled:
             OBS.metrics.incr("faults.blackholed", xbar=self.name)
         flit = first

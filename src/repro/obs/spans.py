@@ -1,7 +1,6 @@
 """Span tracing: one message's lifetime as a causal tree.
 
-The flat :class:`repro.sim.trace.Tracer` answers "did X happen before Y";
-spans answer "where did the time go".  A :class:`Span` is an interval with
+Spans answer "where did the time go".  A :class:`Span` is an interval with
 a component, a parent, and arbitrary attributes; spans that belong to one
 network message carry its ``message_id`` and are automatically parented to
 the message's *root* span (opened by the sending driver, closed at

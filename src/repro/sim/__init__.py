@@ -25,6 +25,5 @@ __all__ = [
     "Signal",
     "Simulator",
     "TimeSeries",
-    "TimeSeries",
     "Timeout",
 ]

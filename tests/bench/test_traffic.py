@@ -284,17 +284,28 @@ class TestLoadSweep:
         fanned = load_sweep(spec, [0.3, 0.6], jobs=2, **kwargs)
         assert serial == fanned
 
-    def test_cli_default_traffic_matches_golden(self, capsys):
-        """The default (legacy fifo) traffic table is byte-identical to
-        the pre-QoS golden capture."""
-        import os
-
+    @pytest.mark.parametrize("flags", [
+        ["--fault-plan", "plan.json"], ["--fault-seed", "0"],
+        ["--pattern-mix", "bulk=hotspot"], ["--closed-loop"],
+        ["--adaptive"], ["--json-out", "sweep.json"]])
+    def test_cli_load_only_flag_needs_load(self, capsys, flags):
         from repro.cli import main
 
-        golden = os.path.join(os.path.dirname(__file__), "..", "..",
-                              "benchmarks", "goldens",
-                              "traffic_default.txt")
-        assert main(["traffic"]) in (0, None)
-        out = capsys.readouterr().out
-        with open(golden, "r", encoding="utf-8") as handle:
-            assert out == handle.read()
+        assert main(["traffic"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("traffic: load-sweep option(s) given "
+                                f"without --load: {flags[0]}\n")
+
+    def test_cli_names_every_ignored_flag(self, capsys, tmp_path):
+        """Load-sweep flags without --load used to be dropped silently:
+        the fixed-pattern table printed and no JSON was written."""
+        from repro.cli import main
+
+        out = tmp_path / "sweep.json"
+        rc = main(["traffic", "--fault-plan", str(tmp_path / "none.json"),
+                   "--json-out", str(out), "--closed-loop"])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(
+            "without --load: --fault-plan, --closed-loop, --json-out\n")
+        assert not out.exists()

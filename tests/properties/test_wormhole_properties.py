@@ -8,7 +8,6 @@ from repro.network.message import FlitKind
 from repro.network.routing import RouteTable
 from repro.network.topology import build_power_manna_256, node_key
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 
 @given(payloads=st.lists(st.integers(min_value=0, max_value=256),
